@@ -362,3 +362,120 @@ def test_many_processes_complete():
         env.process(proc(env, i))
     env.run()
     assert sorted(done) == list(range(500))
+
+
+# -- end-of-timestamp flush hooks (Environment.defer) -------------------------
+
+
+def _deferring_world():
+    """A process that defers ``flush`` twice at t=2 and once at t=5;
+    ``log`` records the clock at every flush."""
+    env = Environment()
+    log = []
+
+    def flush():
+        log.append(env.now)
+
+    def proc(env):
+        yield env.timeout(2.0)
+        env.defer(flush)
+        env.defer(flush)
+        yield env.timeout(3.0)
+        env.defer(flush)
+
+    return env, env.process(proc(env)), log
+
+
+def test_defer_flushes_once_per_dirtied_timestamp():
+    env = Environment()
+    log = []
+
+    def flush():
+        log.append(env.now)
+
+    def toucher(env, delay):
+        yield env.timeout(delay)
+        env.defer(flush)
+
+    # Three touches at t=1, two at t=4, none at t=3.
+    for delay in (1.0, 1.0, 1.0, 3.0, 4.0, 4.0):
+        env.process(toucher(env, delay))
+    env.run()
+    assert log == [1.0, 3.0, 4.0]
+
+
+def test_defer_runs_in_last_registration_order():
+    env = Environment()
+    order = []
+
+    def a():
+        order.append("a")
+
+    def b():
+        order.append("b")
+
+    env.defer(a)
+    env.defer(b)
+    env.defer(a)  # re-deferring moves ``a`` behind ``b``
+    env.run()
+    assert order == ["b", "a"]
+
+
+def test_flush_that_defers_drains_in_same_pass():
+    env = Environment()
+    log = []
+
+    def second():
+        log.append(("second", env.now))
+
+    def first():
+        log.append(("first", env.now))
+        env.defer(second)
+
+    def proc(env):
+        yield env.timeout(1.0)
+        env.defer(first)
+        yield env.timeout(1.0)
+        log.append(("next event", env.now))
+
+    env.process(proc(env))
+    env.run()
+    assert log == [("first", 1.0), ("second", 1.0), ("next event", 2.0)]
+
+
+def test_flushes_run_before_clock_advances_under_step():
+    env, _proc, log = _deferring_world()
+    while env.now < 2.0:
+        env.step()
+    assert log == []  # still inside the t=2 cascade
+    env.step()  # flushes at t=2, then pops the t=5 timeout
+    assert log == [2.0]
+    assert env.now == 5.0
+
+
+def test_flushes_run_before_clock_advances_under_run_to_exhaustion():
+    env, _proc, log = _deferring_world()
+    env.run()
+    # The final flush runs even though no event follows it.
+    assert log == [2.0, 5.0]
+
+
+def test_flushes_run_before_clock_advances_under_run_until_event():
+    env, proc, log = _deferring_world()
+    env.run(until=proc)
+    # The run stops as soon as ``proc`` is processed at t=5, before the
+    # t=5 cascade's flush; the next run picks it up at the same time.
+    assert log == [2.0]
+    assert env.now == 5.0
+    env.run()
+    assert log == [2.0, 5.0]
+
+
+def test_flushes_run_before_clock_advances_under_run_until_time():
+    env, _proc, log = _deferring_world()
+    env.run(until=4.0)
+    assert log == [2.0]
+    assert env.now == 4.0
+    env.run(until=10.0)
+    assert log == [2.0, 5.0]
+    assert env.now == 10.0

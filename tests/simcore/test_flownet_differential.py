@@ -22,6 +22,7 @@ surviving projections that lag ``now`` by float drift are clamped to
 a strictly positive delay.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from repro.experiments import ExperimentConfig, run_sweep
 from repro.simcore import Environment, FlowNetwork, Link
 from tests.simcore.test_flownet_invariants import reference_fill
 from tests.test_observability_invariance import (
+    SCENARIO_IDS,
     SCENARIOS,
     _config,
     _hash_chain,
@@ -76,12 +78,19 @@ def _steady_rates(caps, specs):
     links = [Link(f"l{i}", c) for i, c in enumerate(caps)]
     for path, cap in specs:
         net.transfer([links[i] for i in path], _NEVER_FINISH, max_rate=cap)
-    return [flow.rate for flow in net._flows]
+    return [float(flow.rate) for flow in net._flows]
+
+
+def _digest(value):
+    """sha256 of ``repr(value)`` — exact for plain floats/ints/tuples."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("trial", range(15))
-def test_steady_rates_bit_identical_across_kernels(trial, monkeypatch):
-    """SoA scalar == SoA vector == legacy, and all ≈ brute force."""
+def test_steady_rates_bit_identical_across_kernels(trial, monkeypatch,
+                                                   goldens):
+    """SoA scalar == SoA vector == legacy == the pinned digest, and all
+    ≈ brute force."""
     rng = random.Random(52000 + trial)
     caps, specs = _random_specs(rng)
 
@@ -97,6 +106,7 @@ def test_steady_rates_bit_identical_across_kernels(trial, monkeypatch):
 
     assert scalar == vector
     assert scalar == legacy
+    goldens.check("steady_rates", str(trial), _digest(scalar))
 
     links = [Link(f"l{i}", c) for i, c in enumerate(caps)]
     ref_specs = [([links[i] for i in path], cap) for path, cap in specs]
@@ -146,11 +156,12 @@ def _run_churn(caps, script):
 
     env.process(driver())
     env.run()
-    return log, net.total_bytes_moved, net.total_flows
+    return log, float(net.total_bytes_moved), net.total_flows
 
 
 @pytest.mark.parametrize("trial", range(10))
-def test_churn_completions_bit_identical_across_kernels(trial, monkeypatch):
+def test_churn_completions_bit_identical_across_kernels(trial, monkeypatch,
+                                                        goldens):
     """Completion order, completion times, and byte totals all match
     exactly under churn — including zero-byte and sub-epsilon payloads
     arriving inside same-timestamp waves."""
@@ -168,6 +179,7 @@ def test_churn_completions_bit_identical_across_kernels(trial, monkeypatch):
 
     assert scalar == vector
     assert scalar == legacy
+    goldens.check("churn_completions", str(trial), _digest(scalar))
 
 
 @pytest.mark.parametrize("mode", ["exact", "projected"])
@@ -229,9 +241,7 @@ def test_zero_byte_transfer_is_immediate_in_both_kernels(monkeypatch):
 # -- golden end-to-end scenarios ------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "scenario", SCENARIOS,
-    ids=["{}-{}-n{}-s{}".format(*s) for s in SCENARIOS])
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
 def test_golden_scenarios_bit_identical_to_legacy(scenario, monkeypatch):
     """Telemetry hash-chain, makespan, and cost agree with the legacy
     kernel on every golden scenario."""

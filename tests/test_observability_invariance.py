@@ -7,6 +7,10 @@ The telemetry hash-chain (every trace record, makespan, cost) must be
 bit-identical between the two legs: host-side observation is passive
 by construction, and this test is the regression gate for that
 invariant (see ISSUE/docs: "no wall-clock data in the hash-chain").
+
+The bare leg is also checked against the literal hash-chain, makespan
+and cost pinned in ``tests/golden_scenarios.json``, so a change that
+moves both legs together still fails.
 """
 
 import hashlib
@@ -29,7 +33,7 @@ from repro.lint.determinism import canonical_event
 from repro.observe import EventLogWriter, SweepMonitor
 from repro.telemetry import to_prometheus, validate_exposition
 
-# The 20 golden scenarios: every application crossed with a spread of
+# The 22 golden scenarios: every application crossed with a spread of
 # storage backends, node counts, and seeds.  Workflows are scaled down
 # so the double-run suite stays fast; determinism is scale-free.
 SCENARIOS = [
@@ -53,7 +57,11 @@ SCENARIOS = [
     ("epigenome", "pvfs", 2, 42),
     ("broadband", "s3", 2, 0),
     ("broadband", "nfs", 2, 23),
+    ("montage", "xtreemfs", 2, 0),
+    ("synthetic", "p2p", 2, 0),
 ]
+
+SCENARIO_IDS = ["{}-{}-n{}-s{}".format(*s) for s in SCENARIOS]
 
 
 def small_workflow(app):
@@ -86,6 +94,13 @@ def _hash_chain(result):
     return chain.hexdigest()
 
 
+def golden_record(result):
+    """The pinned triple for one scenario (see tests/golden_scenarios.json)."""
+    return {"hash_chain": _hash_chain(result),
+            "makespan": result.run.makespan,
+            "cost_per_second_total": result.cost.per_second_total}
+
+
 def _run_bare(config, workflow):
     (result,) = run_sweep([config], workflow=workflow)
     return result
@@ -108,10 +123,9 @@ def _run_fully_observed(config, workflow, tmp_path, jobs=1):
     return result
 
 
-@pytest.mark.parametrize(
-    "scenario", SCENARIOS,
-    ids=["{}-{}-n{}-s{}".format(*s) for s in SCENARIOS])
-def test_digest_invariant_under_full_observability(scenario, tmp_path):
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
+def test_digest_invariant_under_full_observability(scenario, tmp_path,
+                                                   goldens):
     app, storage, nodes, seed = scenario
     workflow = small_workflow(app)
     config = _config(app, storage, nodes, seed)
@@ -122,6 +136,8 @@ def test_digest_invariant_under_full_observability(scenario, tmp_path):
     assert repr(observed.cost.per_second_total) == \
         repr(bare.cost.per_second_total)
     assert observed.metrics.to_json() == bare.metrics.to_json()
+    goldens.check("scenarios", SCENARIO_IDS[SCENARIOS.index(scenario)],
+                  golden_record(bare))
 
 
 def test_digest_invariant_across_worker_processes(tmp_path):
