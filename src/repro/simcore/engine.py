@@ -155,67 +155,38 @@ class Environment:
         * an :class:`Event` — run until that event is processed, and
           return its value (re-raising its exception if it failed).
         """
-        # The three loops below inline :meth:`step` (heap pop, clock
-        # bump, callback drain) with the hot names bound locally; at
-        # ~10^6 events per cell the method/attribute dispatch of a
+        # The loop below inlines :meth:`step` (heap pop, clock bump,
+        # callback drain) with the hot names bound locally; at ~10^6
+        # events per cell the method/attribute dispatch of a
         # `while ...: self.step()` loop is a measurable fraction of
         # total runtime.  Semantics are identical to calling ``step``.
-        # Each loop also honours the end-of-timestamp flush hooks: when
-        # callbacks are pending and the next queued event lies strictly
-        # beyond ``now`` (or the queue is empty), the deferred flushes
-        # run before the clock is allowed to advance.
+        # One loop serves all three ``until`` forms: it stops once the
+        # sentinel list is non-empty (``until`` is an Event and has been
+        # processed) or the queue's head lies beyond ``deadline`` (``inf``
+        # unless ``until`` is a number).  It also honours the
+        # end-of-timestamp flush hooks: when callbacks are pending and
+        # the next queued event lies strictly beyond ``now`` (or the
+        # queue is empty), the deferred flushes run before the clock is
+        # allowed to advance.
+        finished: List[Event] = []
+        deadline = float("inf")
+        if isinstance(until, Event):
+            if until.callbacks is None:
+                # Already processed.
+                if not until._ok:
+                    raise until._value
+                return until._value
+            until.callbacks.append(finished.append)
+        elif until is not None:
+            deadline = float(until)
+            if deadline < self._now:
+                raise ValueError(
+                    f"until={deadline} is in the past (now={self._now})")
+
         queue = self._queue
         pop = _heappop
         flush = self._flush_pending
-
-        if until is None:
-            while True:
-                if flush and (not queue or queue[0][0] > self._now):
-                    self._run_deferred()
-                if not queue:
-                    return None
-                when, _prio, _seq, event = pop(queue)
-                self._now = when
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-
-        if isinstance(until, Event):
-            sentinel = until
-            finished: List[Event] = []
-
-            if sentinel.callbacks is None:
-                # Already processed.
-                if not sentinel._ok:
-                    raise sentinel._value
-                return sentinel._value
-            sentinel.callbacks.append(finished.append)
-            while not finished:
-                if flush and (not queue or queue[0][0] > self._now):
-                    self._run_deferred()
-                if not queue:
-                    raise SimulationDeadlock(
-                        f"event {sentinel!r} will never fire: queue is empty"
-                    )
-                when, _prio, _seq, event = pop(queue)
-                self._now = when
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-            if not sentinel._ok:
-                sentinel._defused = True
-                raise sentinel._value
-            return sentinel._value
-
-        # Numeric deadline.
-        deadline = float(until)
-        if deadline < self._now:
-            raise ValueError(f"until={deadline} is in the past (now={self._now})")
-        while True:
+        while not finished:
             if flush and (not queue or queue[0][0] > self._now):
                 self._run_deferred()
             if not queue or queue[0][0] > deadline:
@@ -227,5 +198,15 @@ class Environment:
                 callback(event)
             if not event._ok and not event._defused:
                 raise event._value
-        self._now = deadline
+
+        if isinstance(until, Event):
+            if not finished:
+                raise SimulationDeadlock(
+                    f"event {until!r} will never fire: queue is empty")
+            if not until._ok:
+                until._defused = True
+                raise until._value
+            return until._value
+        if until is not None:
+            self._now = deadline
         return None

@@ -1,25 +1,21 @@
 """Differential tests for the struct-of-arrays flow-network kernel.
 
-The SoA kernel in :mod:`repro.simcore.flownet` claims *bit identity*
-with the retired object-graph kernel (kept verbatim as
-``flownet_legacy.LegacyFlowNetwork`` behind ``REPRO_FLOWNET=legacy``).
-These tests pin that claim three independent ways:
+The kernel in :mod:`repro.simcore.flownet` has a scalar and a
+vectorized code path for every pass (advance, completion scan, fill),
+chosen by population size, and claims both are *bit-identical*.  It
+also replaced an object-graph kernel with the same bit-identity claim;
+that kernel is retired, and the literals it agreed with are pinned in
+``tests/golden_scenarios.json`` (captured while scalar == vector ==
+object-graph held).  These tests check:
 
 * randomized topologies — steady-state rates and churn completion
-  times must match the legacy kernel exactly (``==``, not approx) and
-  an independent brute-force water-filler approximately;
-* the scalar and vectorized code paths inside the SoA kernel must
-  agree bit-for-bit (thresholds pinned low to force the vector paths
-  on small populations);
-* the 20 golden end-to-end scenarios must produce identical telemetry
-  hash-chains under both kernels, and serial vs parallel sweeps must
-  agree under the new kernel.
-
-Satellite invariants for the projected-completion heap ride along: a
-flow completed in a same-timestamp batch can never fire a wake (its
-position is -1, so its heap entries are discarded on pop), and
-surviving projections that lag ``now`` by float drift are clamped to
-a strictly positive delay.
+  logs must be equal (``==``, not approx) on the scalar and vector
+  paths (thresholds pinned low to force the vector paths on small
+  populations) and equal their pinned digests; steady-state rates must
+  also match an independent brute-force water-filler approximately;
+* the golden end-to-end scenarios must reproduce their pinned
+  telemetry hash-chains with the vector paths forced, and serial vs
+  parallel sweeps must agree.
 """
 
 import hashlib
@@ -27,14 +23,15 @@ import random
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_sweep
+from repro.experiments import run_sweep
 from repro.simcore import Environment, FlowNetwork, Link
 from tests.simcore.test_flownet_invariants import reference_fill
 from tests.test_observability_invariance import (
-    SCENARIO_IDS,
     SCENARIOS,
     _config,
     _hash_chain,
+    golden_record,
+    scenario_id,
     small_workflow,
 )
 
@@ -42,16 +39,9 @@ from tests.test_observability_invariance import (
 _NEVER_FINISH = 1e18
 
 
-@pytest.fixture
-def legacy_kernel(monkeypatch):
-    """Route FlowNetwork construction to the legacy object-graph kernel."""
-    monkeypatch.setenv("REPRO_FLOWNET", "legacy")
-
-
-@pytest.fixture
-def forced_vector(monkeypatch):
-    """Pin the SoA thresholds so even tiny populations take the
-    vectorized sync/fill paths."""
+def _force_vector(monkeypatch):
+    """Pin the thresholds so even tiny populations take the vectorized
+    sync/fill paths."""
     monkeypatch.setattr(FlowNetwork, "VEC_FILL_MIN", 1)
     monkeypatch.setattr(FlowNetwork, "VEC_SCAN_MIN", 1)
 
@@ -89,23 +79,15 @@ def _digest(value):
 @pytest.mark.parametrize("trial", range(15))
 def test_steady_rates_bit_identical_across_kernels(trial, monkeypatch,
                                                    goldens):
-    """SoA scalar == SoA vector == legacy == the pinned digest, and all
-    ≈ brute force."""
+    """Scalar == vector == the pinned digest, and all ≈ brute force."""
     rng = random.Random(52000 + trial)
     caps, specs = _random_specs(rng)
 
     scalar = _steady_rates(caps, specs)
-
-    monkeypatch.setattr(FlowNetwork, "VEC_FILL_MIN", 1)
-    monkeypatch.setattr(FlowNetwork, "VEC_SCAN_MIN", 1)
+    _force_vector(monkeypatch)
     vector = _steady_rates(caps, specs)
-    monkeypatch.undo()
-
-    monkeypatch.setenv("REPRO_FLOWNET", "legacy")
-    legacy = _steady_rates(caps, specs)
 
     assert scalar == vector
-    assert scalar == legacy
     goldens.check("steady_rates", str(trial), _digest(scalar))
 
     links = [Link(f"l{i}", c) for i, c in enumerate(caps)]
@@ -162,100 +144,58 @@ def _run_churn(caps, script):
 @pytest.mark.parametrize("trial", range(10))
 def test_churn_completions_bit_identical_across_kernels(trial, monkeypatch,
                                                         goldens):
-    """Completion order, completion times, and byte totals all match
-    exactly under churn — including zero-byte and sub-epsilon payloads
-    arriving inside same-timestamp waves."""
+    """Completion order, completion times, and byte totals match the
+    pinned digest exactly under churn, on both paths — including
+    zero-byte and sub-epsilon payloads arriving inside same-timestamp
+    waves."""
     caps, script = _churn_script(random.Random(61000 + trial))
 
     scalar = _run_churn(caps, script)
-
-    monkeypatch.setattr(FlowNetwork, "VEC_FILL_MIN", 1)
-    monkeypatch.setattr(FlowNetwork, "VEC_SCAN_MIN", 1)
+    _force_vector(monkeypatch)
     vector = _run_churn(caps, script)
-    monkeypatch.undo()
-
-    monkeypatch.setenv("REPRO_FLOWNET", "legacy")
-    legacy = _run_churn(caps, script)
 
     assert scalar == vector
-    assert scalar == legacy
     goldens.check("churn_completions", str(trial), _digest(scalar))
-
-
-@pytest.mark.parametrize("mode", ["exact", "projected"])
-def test_completion_modes_agree_under_batching(mode, monkeypatch):
-    """Both completion schedulers survive the same churn script with
-    identical results under forced-vector batching."""
-    caps, script = _churn_script(random.Random(77))
-
-    def run(completion_mode):
-        env = Environment()
-        net = FlowNetwork(env, completion_mode=completion_mode)
-        links = [Link(f"l{i}", c) for i, c in enumerate(caps)]
-        log = []
-
-        def driver():
-            pending = []
-            for idx, (path, nbytes, cap, delay) in enumerate(script):
-                done = net.transfer([links[i] for i in path], nbytes,
-                                    max_rate=cap)
-                done.callbacks.append(
-                    lambda _ev, idx=idx: log.append((idx, env.now)))
-                pending.append(done)
-                if delay:
-                    yield env.timeout(delay)
-            yield env.all_of(pending)
-
-        env.process(driver())
-        env.run()
-        return log
-
-    monkeypatch.setattr(FlowNetwork, "VEC_FILL_MIN", 1)
-    monkeypatch.setattr(FlowNetwork, "VEC_SCAN_MIN", 1)
-    got = run(mode)
-    finished = {idx for idx, _t in got}
-    assert finished == set(range(len(script)))
-    # Completion *times* agree across modes (order may differ only
-    # within a timestamp for the projected heap; it does not here).
-    assert sorted(got) == sorted(run("exact" if mode == "projected"
-                                     else "projected"))
 
 
 def test_zero_byte_transfer_is_immediate_in_both_kernels(monkeypatch):
     """A zero-byte transfer succeeds synchronously, counts in
-    ``total_flows``, and moves no bytes — same contract both kernels."""
-    for legacy in (False, True):
-        if legacy:
-            monkeypatch.setenv("REPRO_FLOWNET", "legacy")
+    ``total_flows``, moves no bytes and never joins the network — same
+    contract on the scalar and the vector paths, with a live flow on
+    its link."""
+    for vector in (False, True):
+        if vector:
+            _force_vector(monkeypatch)
         env = Environment()
         net = FlowNetwork(env)
         link = Link("l", 10.0)
+        busy = net.transfer((link,), 1e3)
+        env.run(until=1.0)
         done = net.transfer((link,), 0.0)
         assert done.triggered
-        assert net.total_flows == 1
-        assert net.total_bytes_moved == 0.0
-        assert not net._flows
-        assert not link._flows
+        assert net.total_flows == 2
+        assert len(net._flows) == len(link._flows) == 1
+        assert next(iter(net._flows)).rate == 10.0
+        env.run(busy)
+        assert env.now == 100.0
+        assert net.total_bytes_moved == 1e3
 
 
 # -- golden end-to-end scenarios ------------------------------------------
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
-def test_golden_scenarios_bit_identical_to_legacy(scenario, monkeypatch):
-    """Telemetry hash-chain, makespan, and cost agree with the legacy
-    kernel on every golden scenario."""
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=scenario_id)
+def test_golden_scenarios_bit_identical_to_legacy(scenario, monkeypatch,
+                                                  goldens):
+    """With the vector paths forced onto every population, telemetry
+    hash-chain, makespan, and cost still equal the pins the retired
+    object-graph kernel agreed with.  (The default-threshold run is
+    checked against the same pins by the observability test.)"""
     app, storage, nodes, seed = scenario
-    workflow = small_workflow(app)
-    config = _config(app, storage, nodes, seed)
-
-    (soa,) = run_sweep([config], workflow=workflow)
-    monkeypatch.setenv("REPRO_FLOWNET", "legacy")
-    (legacy,) = run_sweep([config], workflow=workflow)
-
-    assert soa.run.makespan == legacy.run.makespan
-    assert soa.cost.per_second_total == legacy.cost.per_second_total
-    assert _hash_chain(soa) == _hash_chain(legacy)
+    _force_vector(monkeypatch)
+    (result,) = run_sweep([_config(app, storage, nodes, seed)],
+                          workflow=small_workflow(app))
+    goldens.check("scenarios", scenario_id(scenario), golden_record(result))
 
 
 def test_sweep_digest_serial_vs_parallel_under_soa_kernel():
@@ -273,68 +213,3 @@ def test_sweep_digest_serial_vs_parallel_under_soa_kernel():
     parallel = run_sweep(configs, workflow_factory=small_workflow, jobs=2)
     assert ([_hash_chain(r) for r in serial]
             == [_hash_chain(r) for r in parallel])
-
-
-# -- projected-heap staleness invariants ----------------------------------
-
-
-def test_projected_wake_never_targets_batch_completed_flow():
-    """A same-timestamp batch that completes several flows leaves their
-    heap entries stale (position -1); every wake actually scheduled must
-    target a live, current-generation projection."""
-    env = Environment()
-    net = FlowNetwork(env, completion_mode="projected")
-    link = Link("l", 100.0)
-
-    orig = net._reschedule_projected
-    guards = []
-
-    def guarded():
-        orig()
-        if net._heap:
-            _when, _seq, gen, flow = net._heap[0]
-            pos = int(net._pos_of_id[flow.fid])
-            assert pos >= 0, "wake scheduled from a completed flow"
-            assert gen == int(net._f_gen[pos]), "wake from a stale rate"
-            guards.append(flow)
-
-    net._reschedule_projected = guarded
-
-    # Five equal flows finish together in one batch at t=70 while two
-    # stragglers (still holding valid projections) continue.
-    batch = [net.transfer((link,), 1000.0) for _ in range(5)]
-    stragglers = [net.transfer((link,), 5000.0) for _ in range(2)]
-    env.run(env.all_of(batch))
-    assert len(net._flows) == 2
-    env.run(env.all_of(stragglers))
-    assert not net._flows
-    assert guards, "instrumented reschedule never ran"
-    # Whatever the heap still holds is provably stale.
-    for _when, _seq, _gen, flow in net._heap:
-        assert int(net._pos_of_id[flow.fid]) < 0
-
-
-def test_projected_drift_is_clamped_at_batch_boundary():
-    """A surviving projection that lags ``now`` by float drift must be
-    clamped to a strictly positive delay — the wake may never schedule
-    at or before the current timestamp."""
-    env = Environment()
-    net = FlowNetwork(env, completion_mode="projected")
-    link = Link("l", 10.0)
-    net.transfer((link,), _NEVER_FINISH)
-    env.run(until=100.0)
-
-    flow = next(iter(net._flows))
-    pos = int(net._pos_of_id[flow.fid])
-    # Forge a projection an ulp in the past but otherwise valid.
-    net._heap_seq += 1
-    net._heap.insert(0, (env.now - 1e-12, net._heap_seq,
-                         int(net._f_gen[pos]), flow))
-    net._heap.sort()
-    net._reschedule_projected()
-
-    wake = net._wake_event
-    entries = [when for when, _p, _s, ev in env._queue if ev is wake]
-    assert entries, "reschedule did not arm a wake"
-    assert entries[0] > env.now
-    assert entries[0] == pytest.approx(env.now + 1e-9, abs=1e-12)

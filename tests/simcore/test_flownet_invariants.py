@@ -196,7 +196,9 @@ def test_max_rate_cap_respected_under_churn():
 
     def driver():
         nonlocal capped
-        capped = net.transfer((link,), _NEVER_FINISH, max_rate=2e6)
+        # 2e7 bytes at the 2e6 B/s cap: finishes at ~10 s, well after
+        # the rate check below, and the sampler then stops on its own.
+        capped = net.transfer((link,), 2e7, max_rate=2e6)
         for _ in range(6):
             net.transfer((link,), 1e7)
             yield env.timeout(0.11)
@@ -205,12 +207,10 @@ def test_max_rate_cap_respected_under_churn():
         yield env.timeout(1.0)
         flow = next(iter(net._flows))
         assert flow.rate == pytest.approx(2e6)
-        flow.event.succeed()
-        net._flows.clear()
-        link._flows.clear()
 
     env.process(driver())
     env.process(sampler())
     env.run()
+    assert capped.processed
     assert observed, "sampler never saw the capped flow"
     assert max(observed) <= 2e6 * (1 + 1e-9)

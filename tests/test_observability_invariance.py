@@ -61,7 +61,10 @@ SCENARIOS = [
     ("synthetic", "p2p", 2, 0),
 ]
 
-SCENARIO_IDS = ["{}-{}-n{}-s{}".format(*s) for s in SCENARIOS]
+
+def scenario_id(scenario):
+    """Test id and golden-file key, e.g. ``montage-nfs-n2-s42``."""
+    return "{}-{}-n{}-s{}".format(*scenario)
 
 
 def small_workflow(app):
@@ -123,7 +126,7 @@ def _run_fully_observed(config, workflow, tmp_path, jobs=1):
     return result
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=scenario_id)
 def test_digest_invariant_under_full_observability(scenario, tmp_path,
                                                    goldens):
     app, storage, nodes, seed = scenario
@@ -136,8 +139,7 @@ def test_digest_invariant_under_full_observability(scenario, tmp_path,
     assert repr(observed.cost.per_second_total) == \
         repr(bare.cost.per_second_total)
     assert observed.metrics.to_json() == bare.metrics.to_json()
-    goldens.check("scenarios", SCENARIO_IDS[SCENARIOS.index(scenario)],
-                  golden_record(bare))
+    goldens.check("scenarios", scenario_id(scenario), golden_record(bare))
 
 
 def test_digest_invariant_across_worker_processes(tmp_path):
