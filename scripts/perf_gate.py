@@ -19,12 +19,16 @@ Exits 0 when within tolerance (or after ``--update``), 1 on a
 regression, 2 on configuration problems.
 
 Every run also appends one JSONL entry (timestamp, scale, normalized
-figures) to ``benchmarks/perf/history.jsonl`` — the longitudinal record
-behind ``repro-ec2 perf-trend``.  Disable with ``--no-history``.
+figures, and the host it ran on: core count, Python, numpy, platform,
+git SHA) to ``benchmarks/perf/history.jsonl`` — the longitudinal
+record behind ``repro-ec2 perf-trend``.  Disable with ``--no-history``.
 """
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -40,6 +44,22 @@ def _run_suite(scale: str):
     return microbench.run_suite(scale)
 
 
+def _host_metadata() -> dict:
+    """Which host a history row came from.  A parallel figure cannot be
+    read without the core count; ``git_sha`` is None outside a git
+    checkout."""
+    import numpy
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT, capture_output=True,
+            text=True, check=True, timeout=10).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "platform": platform.platform(),
+            "git_sha": sha}
+
+
 def _append_history(path: Path, scale: str, results: dict) -> None:
     """One history line per gate run (host wall clock is fine here —
     this is build telemetry, nowhere near the simulation kernel)."""
@@ -52,6 +72,7 @@ def _append_history(path: Path, scale: str, results: dict) -> None:
                     for name, r in sorted(results.items())
                     if name != "_calibration"},
         "calibration": results.get("_calibration"),
+        "host": _host_metadata(),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a", encoding="utf-8") as fh:

@@ -5,12 +5,17 @@ configuration cell — cloud, virtual cluster, storage deployment,
 workflow management system — executes the application, terminates the
 cluster, and prices the run.  :func:`run_sweep` drives a list of cells
 (one fresh world each; nothing leaks between cells).
+
+A sweep is one pipeline: cache lookup, then an executor yielding one
+:class:`_SweepEnvelope` per cell in config order (inline, or a process
+pool whose workers ship finished results), then one consumer that
+interleaves cache hits, retries failures and feeds the monitor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..apps.templates import app_template
 from ..cloud.cluster import ContextBroker
@@ -80,12 +85,6 @@ class ObserveOptions:
     #: Collect failures and return ``None`` placeholders instead of
     #: raising :class:`CellError` at the end of the sweep.
     keep_going: bool = False
-
-    def active(self) -> bool:
-        """Whether any observability feature is switched on."""
-        return (self.monitor is not None or self.crash_dir is not None
-                or self.flight or self.profile != "off"
-                or self.cell_retries > 0 or self.keep_going)
 
     def flight_enabled(self) -> bool:
         """Ring buffers are on explicitly or implied by a crash dir."""
@@ -257,7 +256,7 @@ def run_experiment(config: ExperimentConfig,
 
 def _set_summary_gauges(metrics: MetricsRegistry, config: ExperimentConfig,
                         run: WorkflowRun, cost: WorkflowCost) -> None:
-    """Publish the per-run summary gauges (shared with rehydration)."""
+    """Publish the per-run summary gauges (shared with deserialization)."""
     makespan_g = metrics.gauge(
         "experiment_makespan_seconds", "workflow wall-clock time")
     makespan_g.set(run.makespan, app=config.app,
@@ -279,14 +278,16 @@ class _CellObserve:
 
 @dataclass
 class _SweepEnvelope:
-    """Picklable result of one sweep cell run in a worker process.
+    """One sweep cell's outcome on its way to the sweep's consumer.
 
-    Live :class:`ExperimentResult` objects cannot cross a process
-    boundary — the trace collector carries closure subscribers (the
-    metrics bridge) and the registry holds live instrument objects.
-    The envelope ships only plain data: the raw trace tuples plus the
-    side artifacts; the parent replays the trace through a fresh
-    collector + bridge, reconstructing bit-identical telemetry.
+    The inline executor hands ``result`` over live, exactly as
+    :func:`run_experiment` returned it.  A pool worker
+    (:func:`_sweep_cell`) ships it finished: the result crosses the
+    process boundary with its metrics registry — the worker already
+    built every instrument — but without its trace collector, whose
+    subscriber is the bridge closure and cannot be pickled.  The
+    collector's records travel as plain ``trace_rows`` instead, and
+    :func:`_rehydrate` rebuilds the collector from them in bulk.
 
     The host-side fields (``wall_*``, ``peak_rss``, ``profile_stats``,
     ``error``) feed the sweep monitor and flight recorder only; none of
@@ -295,42 +296,57 @@ class _SweepEnvelope:
 
     index: int
     config: ExperimentConfig
-    run: Optional[WorkflowRun]
-    cost: Optional[WorkflowCost]
-    #: ``(time, category, event, fields)`` rows, or None (telemetry off).
-    trace_records: Optional[List[tuple]]
+    #: The cell's result (None when the cell raised).
+    result: Optional[ExperimentResult] = None
+    #: ``(time, category, event, fields)`` rows of a shipped trace; None
+    #: while the result still holds its collector (or has none).
+    trace_rows: Optional[List[tuple]] = None
     #: The worker collector's id counter (span ids continue from here).
-    trace_next_id: int
-    timeline: Optional[Timeline]
-    faults: Optional[FaultReport]
-    #: Host epoch seconds when the worker picked the cell up.
+    trace_next_id: int = 0
+    #: Host epoch seconds when the cell was picked up.
     wall_start: float = 0.0
     #: Host wall-clock duration of the cell, seconds.
     wall_seconds: float = 0.0
-    #: Worker peak RSS in bytes at cell completion (process-wide high
-    #: water mark — monotone within one worker process).
+    #: Peak RSS in bytes at cell completion (process-wide high water
+    #: mark — monotone within one worker process).
     peak_rss: int = 0
     #: pstats tables captured under ``--profile cprofile``.
     profile_stats: Optional[List[Dict[Any, Any]]] = None
-    #: Crash bundle dict when the cell raised (run/cost are None then).
+    #: Crash bundle dict when the cell raised.
     error: Optional[Dict[str, Any]] = None
 
 
-def _sweep_cell(payload) -> _SweepEnvelope:
-    """Worker entry point: run one cell, return its envelope.
+#: The explicit ``workflow`` of the pool this process works for, set
+#: once per worker by :func:`_init_pool_worker`; None in the parent.
+_pool_workflow: Optional[Workflow] = None
 
-    Never raises: a failing cell comes back as an envelope whose
-    ``error`` field is a ready-to-write crash bundle (traceback,
-    scenario config + digest, flight-recorder ring, partial metrics),
-    so ``pool.map`` keeps yielding the remaining cells.
+
+def _init_pool_worker(workflow: Optional[Workflow]) -> None:
+    """Pool initializer: take the sweep's explicit workflow once per
+    worker, so pool payloads leave their workflow slot None."""
+    global _pool_workflow
+    _pool_workflow = workflow
+
+
+def _run_cell(payload) -> _SweepEnvelope:
+    """Run one cell in this process; the envelope holds the live result.
+
+    ``payload`` is ``(index, config, workflow, factory, obs)``.  Never
+    raises: a failing cell comes back as an envelope whose ``error``
+    field is a ready-to-write crash bundle (traceback, scenario config
+    + digest, flight-recorder ring, partial metrics), so the sweep
+    keeps going past it.
     """
     index, config, workflow, factory, obs = payload
-    obs = obs or _CellObserve()
     wall_start = hostclock.wall_now()
     t0 = hostclock.monotonic()
     recorder = FlightRecorder(obs.flight_capacity) if obs.flight else None
     profile_sink: List[Dict[Any, Any]] = []
+    result: Optional[ExperimentResult] = None
+    error: Optional[Dict[str, Any]] = None
     try:
+        if workflow is None:
+            workflow = _pool_workflow
         if workflow is None and factory is not None:
             workflow = factory(config.app)
         ext_trace = recorder.trace if recorder is not None else None
@@ -341,62 +357,83 @@ def _sweep_cell(payload) -> _SweepEnvelope:
         else:
             result = run_experiment(config, workflow=workflow,
                                     trace=ext_trace)
-    # Catching everything here is the point: a worker must convert any
-    # cell failure (Interrupt and deadlock included) into an error
-    # envelope so pool.map keeps yielding the remaining cells, and the
-    # exception is preserved verbatim inside the crash bundle.
+    # Catching everything here is the point: any cell failure
+    # (Interrupt and deadlock included) becomes an error envelope so
+    # the sweep keeps yielding the remaining cells, and the exception
+    # is preserved verbatim inside the crash bundle.
     except Exception as exc:  # lint: ignore[SIM007]
-        return _SweepEnvelope(
-            index=index, config=config, run=None, cost=None,
-            trace_records=None, trace_next_id=0, timeline=None,
-            faults=None, wall_start=wall_start,
-            wall_seconds=hostclock.monotonic() - t0,
-            peak_rss=hostclock.peak_rss_bytes(),
-            profile_stats=profile_sink or None,
-            error=crash_bundle(config, index, exc, recorder),
-        )
-    trace = result.trace
+        error = crash_bundle(config, index, exc, recorder)
+    else:
+        if recorder is not None:
+            recorder.detach()
     return _SweepEnvelope(
-        index=index,
-        config=result.config,
-        run=result.run,
-        cost=result.cost,
-        trace_records=[(r.time, r.category, r.event, r.fields)
-                       for r in trace.records] if trace is not None else None,
-        trace_next_id=trace._next_id if trace is not None else 0,
-        timeline=result.timeline,
-        faults=result.faults,
+        index=index, config=config, result=result,
         wall_start=wall_start,
         wall_seconds=hostclock.monotonic() - t0,
         peak_rss=hostclock.peak_rss_bytes(),
         profile_stats=profile_sink or None,
+        error=error,
     )
 
 
-def _rehydrate(envelope: _SweepEnvelope) -> ExperimentResult:
-    """Rebuild a full ExperimentResult from a worker envelope.
+def _sweep_cell(payload) -> _SweepEnvelope:
+    """Pool worker entry point: run one cell and ship it finished.
 
-    Replaying the raw records through a fresh collector with the
-    metrics bridge installed reproduces exactly the trace indexes and
-    instrument values the serial path would have built — the bridge is
-    a pure function of the record stream.
+    The result keeps its metrics registry; its trace collector is
+    unrolled into ``trace_rows`` for :func:`_rehydrate` to rebuild.
     """
-    if envelope.trace_records is None:
-        return ExperimentResult(
-            config=envelope.config, run=envelope.run, cost=envelope.cost,
-            timeline=envelope.timeline, faults=envelope.faults)
-    trace = TraceCollector()
-    metrics = MetricsRegistry()
-    install_trace_bridge(metrics, trace)
-    emit = trace.emit
-    for time, category, event, fields in envelope.trace_records:
-        emit(time, category, event, **fields)
-    trace._next_id = envelope.trace_next_id
-    _set_summary_gauges(metrics, envelope.config, envelope.run, envelope.cost)
-    return ExperimentResult(
-        config=envelope.config, run=envelope.run, cost=envelope.cost,
-        trace=trace, metrics=metrics,
-        timeline=envelope.timeline, faults=envelope.faults)
+    envelope = _run_cell(payload)
+    result = envelope.result
+    if result is not None and result.trace is not None:
+        trace = result.trace
+        envelope.trace_rows = [(r.time, r.category, r.event, r.fields)
+                               for r in trace.records]
+        envelope.trace_next_id = trace._next_id
+        result.trace = None
+    return envelope
+
+
+def _rehydrate(envelope: _SweepEnvelope) -> ExperimentResult:
+    """The envelope's result, with a shipped trace collector rebuilt.
+
+    :meth:`TraceCollector.from_rows` restores the records, the
+    ``(category, event)`` index and the id counter in bulk, and the
+    metrics bridge is subscribed to the shipped registry, which already
+    holds every value.  Nothing is replayed, yet the result equals the
+    serial one: records, indexes, ``_next_id``, subscriber count and
+    every instrument.  A live result passes through untouched.
+    """
+    result = envelope.result
+    if envelope.trace_rows is not None:
+        result.trace = TraceCollector.from_rows(envelope.trace_rows,
+                                                envelope.trace_next_id)
+        install_trace_bridge(result.metrics, result.trace)
+    return result
+
+
+def _envelopes(payloads: List[tuple], jobs: int,
+               workflow: Optional[Workflow]) -> Iterator[_SweepEnvelope]:
+    """The sweep's executor: one envelope per payload, in payload order.
+
+    With ``jobs == 1`` or a single payload the cells run inline, each
+    when the consumer asks for it, and hand over live results.
+    Otherwise a pool of up to ``jobs`` processes runs them through
+    :func:`_sweep_cell`; ``map`` yields in submission order whatever
+    the completion order.  An explicit ``workflow`` reaches each worker
+    once, through the pool initializer, instead of in every payload.
+    """
+    if jobs == 1 or len(payloads) <= 1:
+        for payload in payloads:
+            yield _run_cell(payload)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    shipped = [(index, config, None, factory, obs)
+               for index, config, _, factory, obs in payloads]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads)),
+                             initializer=_init_pool_worker,
+                             initargs=(workflow,)) as pool:
+        yield from pool.map(_sweep_cell, shipped)
 
 
 def run_sweep(configs: Iterable[ExperimentConfig],
@@ -462,75 +499,40 @@ def run_sweep(configs: Iterable[ExperimentConfig],
             if hit is not None:
                 cached[index] = hit
 
-    if not opts.active() and (jobs == 1 or len(configs) <= 1):
-        # Fast path, byte-for-byte the historical behaviour: no
-        # envelope round-trip, results carry their live collectors.
-        results: List[Optional[ExperimentResult]] = []
-        for index, config in enumerate(configs):
-            result = cached.get(index)
-            if result is None:
-                wf = workflow if workflow is not None else (
-                    workflow_factory(config.app) if workflow_factory
-                    else None)
-                result = run_experiment(config, workflow=wf)
-                if cache is not None:
-                    cache.put(config, result)
-            results.append(result)
-            if progress is not None:
-                progress(result)
-        return results
-
     cell_obs = _CellObserve(flight=opts.flight_enabled(),
                             flight_capacity=opts.flight_capacity,
                             profile=opts.profile)
     payloads = [(i, config, workflow, workflow_factory, cell_obs)
                 for i, config in enumerate(configs)]
     monitor = opts.monitor
-    results = []
+    results: List[Optional[ExperimentResult]] = []
     failures: List[Dict[str, Any]] = []
 
     if monitor is not None:
         monitor.sweep_started(len(configs), jobs)
+        for index, config in enumerate(configs):
+            monitor.cell_scheduled(index, config)
+    envelopes = _envelopes([p for p in payloads if p[0] not in cached],
+                           jobs, workflow)
     try:
-        if jobs == 1 or len(configs) - len(cached) <= 1:
-            for payload in payloads:
-                if monitor is not None:
-                    monitor.cell_scheduled(payload[0], payload[1])
-                if payload[0] in cached:
-                    results.append(_consume_cached(
-                        payload[0], payload[1], cached[payload[0]],
-                        opts, progress))
-                    continue
-                envelope = _run_with_retries(payload, opts)
-                results.append(_consume_envelope(
-                    envelope, opts, progress, failures, cache=cache))
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            if monitor is not None:
-                for index, config in enumerate(configs):
-                    monitor.cell_scheduled(index, config)
-            miss_payloads = [p for p in payloads if p[0] not in cached]
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(miss_payloads))) as pool:
-                # map() yields in submission order regardless of
-                # completion order; interleaving the cached indexes
-                # back in keeps result order (and progress callbacks)
-                # identical to serial.
-                envelopes = pool.map(_sweep_cell, miss_payloads)
-                for index, config in enumerate(configs):
-                    if index in cached:
-                        results.append(_consume_cached(
-                            index, config, cached[index], opts, progress))
-                        continue
-                    envelope = next(envelopes)
-                    if envelope.error is not None and opts.cell_retries:
-                        envelope = _run_with_retries(
-                            payloads[envelope.index], opts,
-                            first=envelope)
-                    results.append(_consume_envelope(
-                        envelope, opts, progress, failures, cache=cache))
+        # The one consumer: interleaving the cached indexes back in
+        # keeps result order (and progress callbacks) config order.  A
+        # hit costs no simulation, so its envelope reports zero wall
+        # time and is not stored again.
+        for index, config in enumerate(configs):
+            hit = cached.get(index)
+            if hit is not None:
+                envelope = _SweepEnvelope(index, config, result=hit)
+            else:
+                envelope = next(envelopes)
+                if envelope.error is not None:
+                    envelope = _run_with_retries(payloads[index], opts,
+                                                 envelope)
+            results.append(_consume_envelope(
+                envelope, opts, progress, failures,
+                cache=cache if hit is None else None))
     finally:
+        envelopes.close()
         if monitor is not None:
             monitor.sweep_finished()
     if failures and not opts.keep_going:
@@ -539,40 +541,20 @@ def run_sweep(configs: Iterable[ExperimentConfig],
 
 
 def _run_with_retries(payload, opts: ObserveOptions,
-                      first: Optional[_SweepEnvelope] = None
-                      ) -> _SweepEnvelope:
-    """Run one cell in-process, retrying failures up to cell_retries.
+                      envelope: _SweepEnvelope) -> _SweepEnvelope:
+    """Re-run a failed cell in this process, up to cell_retries times.
 
     The simulation itself is deterministic, so a retry only helps
     against *host*-level transients (an OOM-killed worker, a full
     tmpdir); each attempt is announced via ``cell_retried``.
     """
-    envelope = first if first is not None else _sweep_cell(payload)
     attempt = 0
     while envelope.error is not None and attempt < opts.cell_retries:
         attempt += 1
         if opts.monitor is not None:
             opts.monitor.cell_retried(payload[0], payload[1], attempt)
-        envelope = _sweep_cell(payload)
+        envelope = _run_cell(payload)
     return envelope
-
-
-def _consume_cached(index: int, config: ExperimentConfig,
-                    result: ExperimentResult, opts: ObserveOptions,
-                    progress: Optional[Callable[[ExperimentResult], None]]
-                    ) -> ExperimentResult:
-    """Fold one cache hit into monitor events and the result list.
-
-    A hit costs no simulation, so its lifecycle collapses to an
-    immediate started/finished pair with zero wall-clock attributed.
-    """
-    monitor = opts.monitor
-    if monitor is not None:
-        monitor.cell_started(index, config)
-        monitor.cell_finished(index, config, wall_seconds=0.0, peak_rss=0)
-    if progress is not None:
-        progress(result)
-    return result
 
 
 def _consume_envelope(envelope: _SweepEnvelope, opts: ObserveOptions,

@@ -17,14 +17,17 @@ Design notes
   round-trip ``repr`` for floats, so every float survives exactly;
   nothing is ever formatted through ``str()``/``repr()`` into a lossy
   string field.
-* **Telemetry by replay.**  A live :class:`TraceCollector` carries
-  closure subscribers and the registry holds live instruments, so the
-  document stores the raw ``(time, category, event, fields)`` records
-  and :func:`result_from_dict` replays them through a fresh collector
-  with the metrics bridge installed — the same mechanism the parallel
-  sweep uses to ship results across process boundaries
-  (:class:`repro.experiments.runner._SweepEnvelope`), which is proven
-  bit-identical by the PR-4 regression tests.
+* **Telemetry from the trace.**  The document stores the trace as raw
+  ``(time, category, event, fields)`` records and no metrics: every
+  standard instrument is a pure function of the record stream.
+  :func:`result_from_dict` rebuilds the collector in bulk with
+  :meth:`TraceCollector.from_rows` (records, index and id counter, no
+  subscriber called), installs the metrics bridge on a fresh registry,
+  folds the records through it in one pass and sets the summary
+  gauges — the same registry, instrument for instrument, that the run
+  built live.  (A parallel sweep ships the worker's registry itself
+  and skips the fold; see
+  :class:`repro.experiments.runner._SweepEnvelope`.)
 * **The one exclusion: ``run.plan``.**  The executable plan holds the
   live storage deployment and workflow objects of the simulated world;
   it is a planning artifact, not a measurement, and nothing downstream
@@ -122,13 +125,12 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     trace: Optional[TraceCollector] = None
     metrics: Optional[MetricsRegistry] = None
     if data["trace"] is not None:
-        trace = TraceCollector()
+        trace = TraceCollector.from_rows(data["trace"]["records"],
+                                         data["trace"]["next_id"])
         metrics = MetricsRegistry()
-        install_trace_bridge(metrics, trace)
-        emit = trace.emit
-        for time, category, event, fields in data["trace"]["records"]:
-            emit(time, category, event, **fields)
-        trace._next_id = data["trace"]["next_id"]
+        fold = install_trace_bridge(metrics, trace)
+        for rec in trace.records:
+            fold(rec)
         _set_summary_gauges(metrics, config, run, cost)
     timeline: Optional[Timeline] = None
     if data["timeline"] is not None:

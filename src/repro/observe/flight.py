@@ -59,12 +59,22 @@ class FlightRecorder:
         self.ring: Deque[TraceRecord] = deque(maxlen=capacity)
         self.n_seen = 0
         self.metrics = MetricsRegistry()
-        install_trace_bridge(self.metrics, self.trace)
+        self._bridge = install_trace_bridge(self.metrics, self.trace)
         self.trace.subscribe(self._on_record)
 
     def _on_record(self, rec: TraceRecord) -> None:
         self.n_seen += 1
         self.ring.append(rec)
+
+    def detach(self) -> None:
+        """Stop recording: unsubscribe the ring and the partial metrics.
+
+        A cell that finished needs no postmortem, and its collector
+        goes on as the result's trace without the recorder attached.
+        """
+        self.trace.unsubscribe(self._on_record)
+        if self._bridge is not None:
+            self.trace.unsubscribe(self._bridge)
 
     def ring_rows(self) -> List[Dict[str, Any]]:
         """The ring contents as plain JSON-serializable rows."""

@@ -15,7 +15,7 @@ thousands of queries and must not go quadratic.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 class TraceRecord:
@@ -91,6 +91,36 @@ class TraceCollector:
         # index append keeps ``emit`` lean.
         self._by_category: Optional[Dict[str, List[TraceRecord]]] = None
         self._next_id = 0
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Tuple[float, str, str, Dict[str, Any]]],
+                  next_id: int) -> "TraceCollector":
+        """Rebuild a collector from ``(time, category, event, fields)`` rows.
+
+        The bulk counterpart of ``emit``: it fills ``records`` and the
+        ``(category, event)`` index directly and notifies nobody, so a
+        finished trace that crossed a process or file boundary comes
+        back without re-deriving anything from it.  ``next_id`` restores
+        the span-id counter.  The result has no subscribers.
+        """
+        trace = cls()
+        records = trace.records
+        index = trace._by_cat_event
+        new = TraceRecord.__new__
+        for time, category, event, fields in rows:
+            rec = new(TraceRecord)
+            rec.time = time
+            rec.category = category
+            rec.event = event
+            rec.fields = fields
+            records.append(rec)
+            key = (category, event)
+            bucket = index.get(key)
+            if bucket is None:
+                bucket = index[key] = []
+            bucket.append(rec)
+        trace._next_id = next_id
+        return trace
 
     def next_id(self) -> int:
         """A fresh id, unique within this collector (1, 2, 3, ...).

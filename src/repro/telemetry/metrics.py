@@ -463,16 +463,22 @@ NULL_REGISTRY = MetricsRegistry(enabled=False)
 
 # --------------------------------------------------------------- bridge
 
-def install_trace_bridge(registry: MetricsRegistry,
-                         trace: TraceCollector) -> None:
+def install_trace_bridge(registry: MetricsRegistry, trace: TraceCollector
+                         ) -> Optional[Callable[[TraceRecord], None]]:
     """Derive the standard instrument catalog from the trace stream.
 
     Subscribes to ``trace`` and folds every record into counters and
     histograms, labelled by node / storage system / transformation.
     See ``docs/observability.md`` for the full catalog.
+
+    Returns the subscribed callback (None when either side is
+    disabled), so a caller can fold records that are already in the
+    collector, or unsubscribe it later.  The instruments are
+    get-or-create: installing the bridge on a registry that already
+    holds them creates nothing new.
     """
     if not (registry.enabled and trace.enabled):
-        return
+        return None
 
     tasks_started = registry.counter(
         "tasks_started_total", "task attempts begun, by node/executable")
@@ -562,3 +568,4 @@ def install_trace_bridge(registry: MetricsRegistry,
                     f.get("delay", 0.0), (("op", f.get("op", "?")),))
 
     trace.subscribe(on_record)
+    return on_record

@@ -150,6 +150,27 @@ class TestPerfHistory:
         # Unfiltered trending sees disjoint series, never a crash.
         assert {r["name"] for r in trend_rows(entries)} == smoke | sweep
 
+    def test_host_metadata_rows_coexist_with_old_entries(self, tmp_path):
+        # Rows gained a "host" block (nproc, Python, numpy, platform,
+        # git SHA); rows written before it still parse and trend, and
+        # perf-trend shows the core count behind each last sample.
+        old_row = _entry("sweep", sweep_240_jobs4=35.3, flownet_dense=1.4)
+        new_row = dict(_entry("sweep", sweep_240_jobs4=30.0),
+                       host={"nproc": 2, "python": "3.11.7",
+                             "numpy": "2.4.6", "platform": "Linux",
+                             "git_sha": "0" * 40})
+        path = _history_file(tmp_path, [old_row, new_row])
+        entries = load_history(path)
+        assert len(entries) == 2
+        rows = {r["name"]: r for r in trend_rows(entries, scale="sweep")}
+        assert rows["sweep_240_jobs4"]["n"] == 2
+        assert rows["sweep_240_jobs4"]["nproc"] == 2
+        assert rows["flownet_dense"]["nproc"] is None
+        lines = format_trend(entries, scale="sweep").splitlines()
+        assert lines[0].split()[-1] == "nproc"
+        by_name = {line.split()[0]: line.split()[-1] for line in lines[2:]}
+        assert by_name == {"sweep_240_jobs4": "2", "flownet_dense": "?"}
+
     def test_repo_history_file_parses_every_row(self):
         # The committed history must never contain a row the loader
         # drops: all appended entries (including pre-sweep ones) carry

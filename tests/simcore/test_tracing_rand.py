@@ -128,6 +128,28 @@ def test_index_consistency_with_linear_scan():
          and r.event == "start" and r.get("k") == 0]
 
 
+def test_from_rows_matches_emitted_collector():
+    live = TraceCollector()
+    seen = []
+    live.subscribe(seen.append)
+    cats = ("task", "storage", "disk")
+    for i in range(30):
+        live.emit(float(i), cats[i % 3], ("start", "end")[i % 2], k=i)
+    live.next_id()
+    rows = [(r.time, r.category, r.event, r.fields) for r in live.records]
+    rebuilt = TraceCollector.from_rows(rows, live._next_id)
+    assert rebuilt.records == live.records
+    assert list(rebuilt._by_cat_event.items()) == \
+        list(live._by_cat_event.items())
+    assert rebuilt._next_id == live._next_id == 1
+    assert rebuilt.n_subscribers == 0
+    assert len(seen) == 30  # nobody was notified by the rebuild
+    # The rebuilt collector answers queries and keeps indexing emits.
+    assert rebuilt.count("task") == live.count("task")
+    rebuilt.emit(31.0, "task", "start")
+    assert rebuilt.count("task", "start") == live.count("task", "start") + 1
+
+
 def test_select_returns_copy_not_index():
     tc = TraceCollector()
     tc.emit(0.0, "a", "x")
