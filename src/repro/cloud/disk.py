@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional, Set
 
+from ..simcore.events import Event, Stage
 from ..simcore.pipes import FairShareChannel
 from ..simcore.tracing import NULL_COLLECTOR, TraceCollector
 from .types import MB
@@ -120,6 +121,11 @@ class BlockDevice:
     Extents are tracked per caller-supplied key (file id in the storage
     layer; block ranges are below model fidelity since the workloads
     are whole-file, write-once).
+
+    :meth:`read_event` and :meth:`write_event` run the same operations
+    as stages for fan-out: ``disk.read_event(n)`` pushes the same events
+    in the same order as ``env.process(disk.read(n))``, without the
+    process.
     """
 
     def __init__(self, env: "Environment", profile: DiskProfile,
@@ -148,10 +154,7 @@ class BlockDevice:
 
     def read(self, nbytes: float) -> Generator:
         """Read ``nbytes`` (PS-shared at the device's read bandwidth)."""
-        self.reads += 1
-        self.bytes_read += nbytes
-        self.trace.emit(self.env.now, "disk", "read", disk=self.name, nbytes=nbytes)
-        yield from self._op(nbytes, self.profile.read_bw)
+        yield from self._op(nbytes, self._count_read(nbytes))
 
     def write(self, key: object, nbytes: float) -> Generator:
         """Write ``nbytes`` to extent ``key``.
@@ -159,14 +162,15 @@ class BlockDevice:
         The first write to a key pays the first-write bandwidth;
         subsequent writes to the same key run at re-write speed.
         """
-        first = key not in self._touched
-        self._touched.add(key)
-        self.writes += 1
-        self.bytes_written += nbytes
-        bw = self.profile.first_write_bw if first else self.profile.rewrite_bw
-        self.trace.emit(self.env.now, "disk", "write", disk=self.name,
-                        nbytes=nbytes, first=first)
-        yield from self._op(nbytes, bw)
+        yield from self._op(nbytes, self._count_write(key, nbytes))
+
+    def read_event(self, nbytes: float) -> Event:
+        """:meth:`read` as a stage: an event firing when it completes."""
+        return Stage(self.env, self._read_stage, nbytes)
+
+    def write_event(self, key: object, nbytes: float) -> Event:
+        """:meth:`write` as a stage: an event firing when it completes."""
+        return Stage(self.env, self._write_stage, key, nbytes)
 
     def zero_fill(self, nbytes: float) -> Generator:
         """Pre-initialise ``nbytes`` of storage (Amazon's suggested
@@ -197,6 +201,23 @@ class BlockDevice:
 
     # -- internals -------------------------------------------------------------
 
+    def _count_read(self, nbytes: float) -> float:
+        """Account and trace a read; returns its bandwidth."""
+        self.reads += 1
+        self.bytes_read += nbytes
+        self.trace.emit(self.env.now, "disk", "read", disk=self.name, nbytes=nbytes)
+        return self.profile.read_bw
+
+    def _count_write(self, key: object, nbytes: float) -> float:
+        """Account, trace and touch a write; returns its bandwidth."""
+        first = key not in self._touched
+        self._touched.add(key)
+        self.writes += 1
+        self.bytes_written += nbytes
+        self.trace.emit(self.env.now, "disk", "write", disk=self.name,
+                        nbytes=nbytes, first=first)
+        return self.profile.first_write_bw if first else self.profile.rewrite_bw
+
     def _op(self, nbytes: float, bw: float) -> Generator:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
@@ -204,6 +225,29 @@ class BlockDevice:
             yield self.env.timeout(self.profile.op_latency)
         if nbytes > 0:
             yield self._channel.submit(nbytes / bw)
+
+    # The stage form of :meth:`_op`, hop for hop.
+
+    def _read_stage(self, stage: Stage, nbytes: float) -> None:
+        self._op_stage(stage, nbytes, self._count_read(nbytes))
+
+    def _write_stage(self, stage: Stage, key: object, nbytes: float) -> None:
+        self._op_stage(stage, nbytes, self._count_write(key, nbytes))
+
+    def _op_stage(self, stage: Stage, nbytes: float, bw: float) -> None:
+        if nbytes < 0:
+            raise ValueError("nbytes must be >= 0")
+        if self.profile.op_latency > 0:
+            stage.after(self.env.timeout(self.profile.op_latency),
+                        self._submit_stage, nbytes, bw)
+        else:
+            self._submit_stage(stage, nbytes, bw)
+
+    def _submit_stage(self, stage: Stage, nbytes: float, bw: float) -> None:
+        if nbytes > 0:
+            stage.follow(self._channel.submit(nbytes / bw))
+        else:
+            stage.succeed()
 
 
 def make_node_disk(env: "Environment", ndisks: int = 4,

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
+from ..simcore.events import Event, Stage
 from ..simcore.flownet import FlowNetwork, Link
 from ..simcore.tracing import NULL_COLLECTOR, TraceCollector
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simcore.engine import Environment
-    from ..simcore.events import Event
 
 
 class Endpoint:
@@ -91,19 +91,47 @@ class ClusterNetwork:
         if src is dst:
             # Loopback: no network involved.
             return
-        self.bytes_transferred += nbytes
-        self.trace.emit(self.env.now, "net", "transfer", src=src.name,
-                        dst=dst.name, nbytes=nbytes)
-        lat = self.INTRA_ZONE_LATENCY if latency is None else latency
+        lat = self._count_transfer(src, dst, nbytes, latency)
         if lat > 0:
             yield self.env.timeout(lat)
         if nbytes > 0:
             yield self.flows.transfer([src.tx, dst.rx], nbytes, max_rate=max_rate)
 
     def transfer_event(self, src: Endpoint, dst: Endpoint, nbytes: float,
-                       max_rate: Optional[float] = None) -> "Event":
-        """Like :meth:`transfer` but returns an event (for fan-out)."""
-        return self.env.process(
-            self.transfer(src, dst, nbytes, max_rate=max_rate),
-            name=f"xfer:{src.name}->{dst.name}",
-        )
+                       max_rate: Optional[float] = None,
+                       latency: Optional[float] = None) -> Event:
+        """:meth:`transfer` as a stage, for fan-out: the same events in
+        the same order as ``env.process(self.transfer(...))``."""
+        return Stage(self.env, self._transfer_stage, src, dst, nbytes,
+                     max_rate, latency)
+
+    # -- internals --------------------------------------------------------------
+
+    def _count_transfer(self, src: Endpoint, dst: Endpoint, nbytes: float,
+                        latency: Optional[float]) -> float:
+        """Account and trace a transfer; returns its latency."""
+        self.bytes_transferred += nbytes
+        self.trace.emit(self.env.now, "net", "transfer", src=src.name,
+                        dst=dst.name, nbytes=nbytes)
+        return self.INTRA_ZONE_LATENCY if latency is None else latency
+
+    def _transfer_stage(self, stage: Stage, src: Endpoint, dst: Endpoint,
+                        nbytes: float, max_rate: Optional[float],
+                        latency: Optional[float]) -> None:
+        if src is dst:
+            stage.succeed()
+            return
+        lat = self._count_transfer(src, dst, nbytes, latency)
+        if lat > 0:
+            stage.after(self.env.timeout(lat), self._flow_stage, src, dst,
+                        nbytes, max_rate)
+        else:
+            self._flow_stage(stage, src, dst, nbytes, max_rate)
+
+    def _flow_stage(self, stage: Stage, src: Endpoint, dst: Endpoint,
+                    nbytes: float, max_rate: Optional[float]) -> None:
+        if nbytes > 0:
+            stage.follow(self.flows.transfer([src.tx, dst.rx], nbytes,
+                                             max_rate=max_rate))
+        else:
+            stage.succeed()

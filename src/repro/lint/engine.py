@@ -32,9 +32,9 @@ SCHEDULING_PREFIXES = (
     "repro/cloud/",
 )
 
-#: The only modules allowed to touch the event heap directly: the
-#: engine owns the queue, the events layer feeds it through
-#: ``_queue_event``, and PriorityResource owns its waiter heap.  The
+#: The only modules allowed to touch the event heap or the due-now
+#: lane directly: the engine owns both queues, the events layer feeds
+#: them, and PriorityResource owns its waiter heap.  The
 #: NFS clean-LRU heap is a private min-heap whose entries carry
 #: explicit stamp tie-breaks, so it preserves the determinism contract
 #: this rule protects.

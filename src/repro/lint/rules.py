@@ -555,14 +555,17 @@ class BroadExceptRule(Rule):
 
 @register
 class EventQueueRule(Rule):
-    """SIM008: only the simcore kernel may touch the event heap.
+    """SIM008: only the simcore kernel may touch the event queues.
 
     The engine's ``(time, priority, seq, event)`` heap entries are the
     *entire* tie-break contract; pushing into it (or re-heapifying a
     waiter queue) anywhere else bypasses the sequence counter and makes
     same-timestamp ordering fall back to object identity — i.e. memory
-    addresses.  Schedule through ``env.timeout`` / ``env.process`` /
-    resource requests instead.
+    addresses.  The due-now lane (``env._due``) is the other half of
+    that order: an entry appended from outside the kernel skips the
+    checks that decide whether an event is due now.  Schedule through
+    ``env.timeout`` / ``env.process`` / ``env.call_soon`` / resource
+    requests instead.
     """
 
     id = "SIM008"
@@ -602,6 +605,11 @@ class EventQueueRule(Rule):
                         ctx, node,
                         "direct access to the engine's event heap; "
                         "use the public Environment API")
+                elif node.attr == "_due" and self._on_env(node.value):
+                    yield self.finding(
+                        ctx, node,
+                        "direct access to the engine's due-now lane; "
+                        "use env.call_soon or an Event instead")
                 qual = _qualified(node, aliases)
                 if qual is not None and qual.startswith("heapq."):
                     yield self.finding(

@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`Environment` — clock + event loop;
 * :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf`,
-  :class:`AnyOf` — waitables;
+  :class:`AnyOf` — waitables; :class:`Stage` — an event completed by
+  callbacks on the process schedule, without a process;
 * :class:`Resource`, :class:`PriorityResource`, :class:`Container`,
   :class:`Store` — contended entities;
 * :class:`FairShareChannel` — processor-sharing device model (disks);
@@ -22,7 +23,7 @@ from .errors import (
     SimulationDeadlock,
     SimulationError,
 )
-from .events import AllOf, AnyOf, Event, Process, Timeout
+from .events import AllOf, AnyOf, Event, Process, Stage, Timeout
 from .flownet import FlowNetwork, Link
 from .pipes import FairShareChannel
 from .rand import jittered, substream
@@ -49,6 +50,7 @@ __all__ = [
     "Resource",
     "SimulationDeadlock",
     "SimulationError",
+    "Stage",
     "Store",
     "Timeout",
     "TraceCollector",

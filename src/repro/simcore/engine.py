@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop as _heappop
 from heapq import heappush as _heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple, Union
 
 from .errors import SimulationDeadlock
-from .events import AllOf, AnyOf, Event, Process, Timeout
+from .events import AllOf, AnyOf, Event, Process, Timeout, _Hop
 
 #: Default priority for newly queued events.  Lower sorts earlier at the
 #: same timestamp; interrupts use priority 0 so they pre-empt same-time
@@ -32,12 +33,27 @@ class Environment:
 
     Time is a float in arbitrary units; this project uses seconds
     throughout.
+
+    Events are processed in ``(time, priority, sequence)`` order, kept
+    in two queues.  The heap holds future events and priority-0
+    interrupts.  Everything else that becomes due at ``now`` (a
+    succeed/fail, a process kick-start, a :meth:`call_soon`, a timeout
+    whose ``now + delay == now``) is appended to the due-now *lane*, a
+    FIFO deque, without touching the heap.  The loop pops the heap head
+    if it lies at ``now``, else the lane, else runs the deferred
+    flushes, else advances the clock to the heap head.  That is exactly
+    the single-heap order: a heap entry at ``(now, 1)`` was pushed
+    before the clock reached ``now``, so its sequence number is older
+    than any lane entry's, and lane entries are pushed in sequence
+    order.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         # Heap entries: (time, priority, sequence, event)
         self._queue: List[Tuple[float, int, int, Event]] = []
+        # The due-now lane (see the class docstring).
+        self._due: Deque[Union[Event, _Hop]] = deque()
         self._seq = 0
         self._active_process: Optional[Process] = None
         # End-of-timestamp flush hooks (see :meth:`defer`): callbacks
@@ -79,13 +95,29 @@ class Environment:
         """An event firing once any of ``events`` has fired."""
         return AnyOf(self, events)
 
+    def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at ``now``, in the lane slot where a process
+        spawned at this point would run its first resume.
+
+        A chain of callbacks started here and continued from the
+        callbacks of the events it waits on pushes the same events, in
+        the same order, as a process doing the same work (see
+        :class:`~repro.simcore.events.Stage`).  An exception ``fn``
+        raises propagates out of :meth:`run`.
+        """
+        self._due.append(_Hop(lambda _hop: fn(*args)))
+
     # -- scheduling (internal API used by events) ---------------------------
 
     def _queue_event(self, event: Event, delay: float = 0.0,
                      priority: int = NORMAL_PRIORITY) -> None:
-        seq = self._seq + 1
-        self._seq = seq
-        _heappush(self._queue, (self._now + delay, priority, seq, event))
+        when = self._now + delay
+        if when > self._now or priority != NORMAL_PRIORITY:
+            seq = self._seq + 1
+            self._seq = seq
+            _heappush(self._queue, (when, priority, seq, event))
+        else:
+            self._due.append(event)
 
     # -- end-of-timestamp flush hooks ---------------------------------------
 
@@ -106,11 +138,8 @@ class Environment:
         defer further callbacks; they drain in the same pass.
         """
         pending = self._flush_pending
-        if pending:
-            try:
-                pending.remove(fn)
-            except ValueError:
-                pass
+        if fn in pending:
+            pending.remove(fn)
         pending.append(fn)
 
     def _run_deferred(self) -> None:
@@ -125,17 +154,27 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._due:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        if self._flush_pending and (
-                not self._queue or self._queue[0][0] > self._now):
-            self._run_deferred()
-        if not self._queue:
-            raise SimulationDeadlock("no scheduled events")
-        when, _prio, _seq, event = _heappop(self._queue)
-        self._now = when
+        queue = self._queue
+        while True:
+            if queue and queue[0][0] <= self._now:
+                event = _heappop(queue)[3]
+            elif self._due:
+                event = self._due.popleft()
+            elif self._flush_pending:
+                self._run_deferred()
+                continue
+            elif queue:
+                when, _prio, _seq, event = _heappop(queue)
+                self._now = when
+            else:
+                raise SimulationDeadlock("no scheduled events")
+            break
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -155,19 +194,17 @@ class Environment:
         * an :class:`Event` — run until that event is processed, and
           return its value (re-raising its exception if it failed).
         """
-        # The loop below inlines :meth:`step` (heap pop, clock bump,
+        # The loop below inlines :meth:`step` (queue pops, clock bump,
         # callback drain) with the hot names bound locally; at ~10^6
         # events per cell the method/attribute dispatch of a
         # `while ...: self.step()` loop is a measurable fraction of
         # total runtime.  Semantics are identical to calling ``step``.
         # One loop serves all three ``until`` forms: it stops once the
         # sentinel list is non-empty (``until`` is an Event and has been
-        # processed) or the queue's head lies beyond ``deadline`` (``inf``
-        # unless ``until`` is a number).  It also honours the
-        # end-of-timestamp flush hooks: when callbacks are pending and
-        # the next queued event lies strictly beyond ``now`` (or the
-        # queue is empty), the deferred flushes run before the clock is
-        # allowed to advance.
+        # processed) or nothing is due now and the heap's head lies
+        # beyond ``deadline`` (``inf`` unless ``until`` is a number).
+        # The end-of-timestamp flush hooks run once nothing is due at
+        # ``now``, before the clock is allowed to advance.
         finished: List[Event] = []
         deadline = float("inf")
         if isinstance(until, Event):
@@ -185,14 +222,24 @@ class Environment:
 
         queue = self._queue
         pop = _heappop
+        due = self._due
+        popleft = due.popleft
         flush = self._flush_pending
+        now = self._now
         while not finished:
-            if flush and (not queue or queue[0][0] > self._now):
+            # The heap never holds an entry earlier than ``now``.
+            if queue and queue[0][0] <= now:
+                event = pop(queue)[3]
+            elif due:
+                event = popleft()
+            elif flush:
                 self._run_deferred()
-            if not queue or queue[0][0] > deadline:
+                continue
+            elif queue and queue[0][0] <= deadline:
+                now, _prio, _seq, event = pop(queue)
+                self._now = now
+            else:
                 break
-            when, _prio, _seq, event = pop(queue)
-            self._now = when
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)

@@ -88,12 +88,10 @@ class Event:
         self._ok = True
         self._value = value
         # Inlined ``env._queue_event(self)`` (normal priority, zero
-        # delay): succeed() fires for every completed operation in a
-        # run, and the extra frame is pure dispatch overhead.
-        env = self.env
-        seq = env._seq + 1
-        env._seq = seq
-        _heappush(env._queue, (env._now, 1, seq, self))
+        # delay, so the due-now lane): succeed() fires for every
+        # completed operation in a run, and the extra frame is pure
+        # dispatch overhead.
+        self.env._due.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -158,9 +156,14 @@ class Timeout(Event):
         self._value = value
         # Inlined ``env._queue_event(self, delay=delay)`` — same
         # rationale as the inlined init above, one level deeper.
-        seq = env._seq + 1
-        env._seq = seq
-        _heappush(env._queue, (env._now + delay, 1, seq, self))
+        when = env._now + delay
+        if when > env._now:
+            seq = env._seq + 1
+            env._seq = seq
+            _heappush(env._queue, (when, 1, seq, self))
+        else:
+            # Due now, including a delay too small to move the clock.
+            env._due.append(self)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
@@ -193,11 +196,7 @@ class Process(Event):
         #: process is scheduled to resume or has finished).
         self._waiting_on: Optional[Event] = None
         # Kick-start: resume the generator at the current simulation time.
-        init = Event(env)
-        init._ok = True
-        init._value = None
-        init.callbacks.append(self._resume)
-        env._queue_event(init)
+        env._due.append(_Hop(self._resume))
 
     @property
     def is_alive(self) -> bool:
@@ -335,8 +334,10 @@ class AllOf(Condition):
             return
         self._remaining -= 1
         if self._remaining <= 0 and not self.triggered:
-            if all(ev.triggered for ev in self.events):
-                self.succeed(self._collect())
+            # Each call counts one processed sub-event, and a failed one
+            # would have failed this condition already: every sub-event
+            # has succeeded.
+            self.succeed({ev: ev._value for ev in self.events})
 
 
 class AnyOf(Condition):
@@ -355,3 +356,74 @@ class AnyOf(Condition):
             return
         if not self.triggered:
             self.succeed(self._collect())
+
+
+class Stage(Event):
+    """An event completed by a chain of callbacks instead of a process.
+
+    ``Stage(env, fn, *args)`` runs ``fn(stage, *args)`` in the lane slot
+    where ``env.process`` would run a new generator's first resume (the
+    slot :meth:`~repro.simcore.engine.Environment.call_soon` takes).
+    The body continues with :meth:`after` where the generator would
+    ``yield`` an event and carry on, and ends with :meth:`succeed` where
+    it would return, or :meth:`follow` where it would return right after
+    yielding a last event.  An exception the body raises fails the
+    stage, as it would fail the process.
+
+    Written that way a stage pushes the same events, in the same order,
+    as ``env.process`` of the equivalent generator, so swapping one for
+    the other leaves every same-time tie-break, and so every simulated
+    number, unchanged.  It saves the process object and a generator
+    resume per frame of the ``yield from`` chain at every step.
+    """
+
+    __slots__ = ("_fn", "_args")
+
+    def __init__(self, env: "Environment", fn: Callable[..., None],
+                 *args: Any) -> None:
+        # Inlined Event.__init__ (see Timeout): storage fans out one
+        # stage per disk and network leg.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._fn = fn
+        self._args = args
+        env._due.append(_Hop(self._resume))
+
+    def after(self, event: Event, fn: Callable[..., None], *args: Any) -> None:
+        """Continue with ``fn(self, *args)`` once ``event`` is processed
+        (fail instead if ``event`` failed)."""
+        self._fn = fn
+        self._args = args
+        event.callbacks.append(self._resume)
+
+    def follow(self, event: Event) -> None:
+        """Succeed (with ``None``) or fail once ``event`` is processed."""
+        self._fn = Event.succeed
+        self._args = ()
+        event.callbacks.append(self._resume)
+
+    def _resume(self, event: Event) -> None:
+        if event._ok:
+            try:
+                self._fn(self, *self._args)
+            except Exception as exc:
+                self.fail(exc)
+        else:
+            event._defused = True
+            self.fail(event._value)
+
+
+class _Hop:
+    """A due-now lane entry: the loop processes it by calling
+    ``callback(hop)``, and it reads as an event that succeeded with
+    ``None`` — the go-ahead of a first resume."""
+
+    __slots__ = ("callbacks",)
+    _ok = True
+    _value = None
+
+    def __init__(self, callback: Callable[["_Hop"], None]) -> None:
+        self.callbacks = (callback,)

@@ -61,6 +61,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _INF = float("inf")
 
+# Reductions bound once: ``arr.any()``/``.all()``/``.min()`` compute the
+# same thing through the Python-level wrappers in numpy's ``_methods``
+# module, which cost more than the reduction on the fill's small arrays.
+_any = np.logical_or.reduce
+_all = np.logical_and.reduce
+_min = np.minimum.reduce
+
 #: Initial per-network array capacity (rows); doubled on demand.
 _INITIAL_ROWS = 64
 
@@ -646,12 +653,12 @@ class FlowNetwork:
 
         while remaining:
             active = cnt > 0
-            if active.any():
-                bottleneck_share = float((res[active] / cnt[active]).min())
+            if _any(active):
+                bottleneck_share = float(_min(res[active] / cnt[active]))
             else:
                 bottleneck_share = _INF
             capm = (caps < bottleneck_share) & ~frozen
-            if capm.any():
+            if _any(capm):
                 for i in np.nonzero(capm)[0].tolist():
                     cap = float(caps[i])
                     frozen[i] = True
@@ -702,7 +709,7 @@ class FlowNetwork:
                                 res[upd] - bottleneck_share, 0.0)
                             kk = kk - 1
                             live = kk > 0
-                            if not live.all():
+                            if not _all(live):
                                 upd = upd[live]
                                 kk = kk[live]
                     frozen_any = True
@@ -718,13 +725,13 @@ class FlowNetwork:
         if n >= self.VEC_SCAN_MIN:
             fr = self._f_rate[:n]
             mask = fr > 0.0
-            if mask.all():
+            if _all(mask):
                 rem = self._f_bytes[:n] / fr
-            elif mask.any():
+            elif _any(mask):
                 rem = self._f_bytes[:n][mask] / fr[mask]
             else:  # pragma: no cover - all flows stalled
                 return
-            next_in = float(rem.min())
+            next_in = float(_min(rem))
         else:
             rates = self._f_rate[:n].tolist()
             lefts = self._f_bytes[:n].tolist()

@@ -30,6 +30,7 @@ from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
 from ..simcore.errors import Interrupt
+from ..simcore.events import Event, Stage
 from ..simcore.pipes import FairShareChannel
 from ..simcore.resources import Container, Store
 from .base import StorageSystem
@@ -231,16 +232,15 @@ class NFSStorage(StorageSystem):
         # The nfsd service path, the wire, and (on a page-cache miss)
         # the server disk pipeline; the slowest stage dominates.
         stages = [
-            self.env.process(self._rpc_work(meta.size), name="nfs-rpc"),
-            self.env.process(self._net(self.server, node, meta.size),
-                             name="nfs-net"),
+            self._rpc_work(meta.size),
+            self.server.network.transfer_event(self.server.nic, node.nic,
+                                               meta.size),
         ]
         if hit:
             self.stats.cache_hits += 1
         else:
             self.stats.cache_misses += 1
-            stages.append(self.env.process(
-                self._server_disk_read(meta.size), name="nfs-disk"))
+            stages.append(self.server.disk.read_event(meta.size))
         yield self.env.all_of(stages)
         if not hit:
             self._cache_insert(meta.name, meta.size, dirty=False)
@@ -259,9 +259,9 @@ class NFSStorage(StorageSystem):
         try:
             yield quota_get
             yield self.env.all_of([
-                self.env.process(self._rpc_work(meta.size), name="nfs-rpc"),
-                self.env.process(self._net(node, self.server, meta.size),
-                                 name="nfs-net"),
+                self._rpc_work(meta.size),
+                self.server.network.transfer_event(node.nic, self.server.nic,
+                                                   meta.size),
             ])
         except Interrupt:
             if quota_get.triggered:
@@ -278,16 +278,13 @@ class NFSStorage(StorageSystem):
             self.env.process(self._flusher(), name="nfs-flusher")
         self._flush_queue.put(meta)
 
-    def _rpc_work(self, nbytes: float) -> Generator:
-        """Consume nfsd service capacity for ``nbytes`` of payload."""
-        yield self._rpc.submit(nbytes / self._rpc_bw)
+    def _rpc_work(self, nbytes: float) -> Event:
+        """A stage consuming nfsd service capacity for ``nbytes`` of
+        payload."""
+        return Stage(self.env, self._rpc_submit, nbytes)
 
-    def _net(self, src: "VMInstance", dst: "VMInstance",
-             nbytes: float) -> Generator:
-        yield from self.server.network.transfer(src.nic, dst.nic, nbytes)
-
-    def _server_disk_read(self, nbytes: float) -> Generator:
-        yield from self.server.disk.read(nbytes)
+    def _rpc_submit(self, stage: Stage, nbytes: float) -> None:
+        stage.follow(self._rpc.submit(nbytes / self._rpc_bw))
 
     def _flusher(self) -> Generator:
         """The write-back daemon: drains dirty files to the server

@@ -125,30 +125,19 @@ class DirectTransferStorage(StorageSystem):
             # name so runs are reproducible across processes).
             source = min((self._by_name[h] for h in sorted(holders)),
                          key=lambda w: w.nic.tx.active_flows)
-            stages = [self.env.process(
-                self._net(source, node, meta.size), name="p2p-net")]
+            stages = [source.network.transfer_event(source.nic, node.nic,
+                                                    meta.size)]
             # The source serves from its page cache when hot.
             src_pc = self._page_caches[source.name]
             if not src_pc.lookup(meta.name):
-                stages.append(self.env.process(
-                    self._src_disk(source, meta.size), name="p2p-disk"))
+                stages.append(source.disk.read_event(meta.size))
                 src_pc.insert(meta.name, meta.size)
             # Landing write on the consumer.
-            stages.append(self.env.process(
-                self._dst_disk(node, meta), name="p2p-land"))
+            stages.append(node.disk.write_event((self.name, meta.name),
+                                                meta.size))
             yield self.env.all_of(stages)
             self._replicas[meta.name].add(node.name)
             self._page_cache_insert(node, meta)
         finally:
             del self._inflight[key]
             done.succeed()
-
-    def _net(self, src: "VMInstance", dst: "VMInstance",
-             nbytes: float) -> Generator:
-        yield from src.network.transfer(src.nic, dst.nic, nbytes)
-
-    def _src_disk(self, src: "VMInstance", nbytes: float) -> Generator:
-        yield from src.disk.read(nbytes)
-
-    def _dst_disk(self, dst: "VMInstance", meta: FileMetadata) -> Generator:
-        yield from dst.disk.write((self.name, meta.name), meta.size)

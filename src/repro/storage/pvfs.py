@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, List
 
+from ..simcore.events import Event, Stage
 from ..simcore.pipes import FairShareChannel
 from .base import StorageSystem
 from .files import FileMetadata
@@ -89,8 +90,7 @@ class PVFSStorage(StorageSystem):
         # Stripe transfers run in parallel, but the client stream can
         # drain them no faster than its protocol ceiling.
         yield self.env.all_of([
-            self.env.process(self._stripe_read(server, node, part),
-                             name=f"pvfs-r:{meta.name}")
+            self._stripe_read(server, node, part)
             for server, part in zip(self.workers, self._stripe_sizes(meta.size))
             if part > 0
         ] + [self.env.timeout(meta.size / self.PER_STREAM_BW)])
@@ -102,39 +102,38 @@ class PVFSStorage(StorageSystem):
         # serialized through the metadata coordination path.
         yield self._meta.submit(self._create_cost())
         yield self.env.all_of([
-            self.env.process(self._stripe_write(server, node, meta, part),
-                             name=f"pvfs-w:{meta.name}")
+            self._stripe_write(server, node, meta, part)
             for server, part in zip(self.workers, self._stripe_sizes(meta.size))
             if part > 0
         ] + [self.env.timeout(meta.size / self.PER_STREAM_BW)])
 
     # -- helpers -------------------------------------------------------------------
 
+    # Each stripe is one stage.  A local stripe is the server's own disk
+    # operation; a remote one waits on the server disk and the wire,
+    # which pipeline, so both must finish.
+
     def _stripe_read(self, server: "VMInstance", client: "VMInstance",
-                     nbytes: float) -> Generator:
-        if server is not client:
-            # Server disk and wire pipeline; both must finish.
-            disk_ev = self.env.process(self._disk_read(server, nbytes))
-            net_ev = self.env.process(self._net(server, client, nbytes))
-            yield disk_ev & net_ev
-        else:
-            yield from server.disk.read(nbytes)
+                     nbytes: float) -> Event:
+        if server is client:
+            return server.disk.read_event(nbytes)
+        return Stage(self.env, self._remote_read, server, client, nbytes)
 
     def _stripe_write(self, server: "VMInstance", client: "VMInstance",
-                      meta: FileMetadata, nbytes: float) -> Generator:
-        if server is not client:
-            net_ev = self.env.process(self._net(client, server, nbytes))
-            disk_ev = self.env.process(self._disk_write(server, meta, nbytes))
-            yield net_ev & disk_ev
-        else:
-            yield from server.disk.write((self.name, meta.name), nbytes)
+                      meta: FileMetadata, nbytes: float) -> Event:
+        if server is client:
+            return server.disk.write_event((self.name, meta.name), nbytes)
+        return Stage(self.env, self._remote_write, server, client, meta, nbytes)
 
-    def _disk_read(self, server: "VMInstance", nbytes: float) -> Generator:
-        yield from server.disk.read(nbytes)
+    def _remote_read(self, stage: Stage, server: "VMInstance",
+                     client: "VMInstance", nbytes: float) -> None:
+        disk_ev = server.disk.read_event(nbytes)
+        net_ev = server.network.transfer_event(server.nic, client.nic, nbytes)
+        stage.follow(disk_ev & net_ev)
 
-    def _disk_write(self, server: "VMInstance", meta: FileMetadata,
-                    nbytes: float) -> Generator:
-        yield from server.disk.write((self.name, meta.name), nbytes)
-
-    def _net(self, src: "VMInstance", dst: "VMInstance", nbytes: float) -> Generator:
-        yield from src.network.transfer(src.nic, dst.nic, nbytes)
+    def _remote_write(self, stage: Stage, server: "VMInstance",
+                      client: "VMInstance", meta: FileMetadata,
+                      nbytes: float) -> None:
+        net_ev = client.network.transfer_event(client.nic, server.nic, nbytes)
+        disk_ev = server.disk.write_event((self.name, meta.name), nbytes)
+        stage.follow(net_ev & disk_ev)

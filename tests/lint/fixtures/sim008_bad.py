@@ -1,4 +1,4 @@
-"""Fixture: event-heap access outside the kernel (SIM008 fires 4x).
+"""Fixture: event-queue access outside the kernel (SIM008 fires 5x).
 
 Only meaningful when linted under a non-kernel virtual filename.
 """
@@ -9,4 +9,5 @@ import heapq
 def schedule(env, event, heap):
     heapq.heappush(heap, event)
     env._queue_event(event)
+    env._due.append(event)
     return env._queue
