@@ -98,12 +98,11 @@ class ClusterNetwork:
             yield self.flows.transfer([src.tx, dst.rx], nbytes, max_rate=max_rate)
 
     def transfer_event(self, src: Endpoint, dst: Endpoint, nbytes: float,
-                       max_rate: Optional[float] = None,
-                       latency: Optional[float] = None) -> Event:
+                       max_rate: Optional[float] = None) -> Event:
         """:meth:`transfer` as a stage, for fan-out: the same events in
         the same order as ``env.process(self.transfer(...))``."""
         return Stage(self.env, self._transfer_stage, src, dst, nbytes,
-                     max_rate, latency)
+                     max_rate)
 
     # -- internals --------------------------------------------------------------
 
@@ -116,12 +115,11 @@ class ClusterNetwork:
         return self.INTRA_ZONE_LATENCY if latency is None else latency
 
     def _transfer_stage(self, stage: Stage, src: Endpoint, dst: Endpoint,
-                        nbytes: float, max_rate: Optional[float],
-                        latency: Optional[float]) -> None:
+                        nbytes: float, max_rate: Optional[float]) -> None:
         if src is dst:
             stage.succeed()
             return
-        lat = self._count_transfer(src, dst, nbytes, latency)
+        lat = self._count_transfer(src, dst, nbytes, None)
         if lat > 0:
             stage.after(self.env.timeout(lat), self._flow_stage, src, dst,
                         nbytes, max_rate)

@@ -564,8 +564,8 @@ class EventQueueRule(Rule):
     addresses.  The due-now lane (``env._due``) is the other half of
     that order: an entry appended from outside the kernel skips the
     checks that decide whether an event is due now.  Schedule through
-    ``env.timeout`` / ``env.process`` / ``env.call_soon`` / resource
-    requests instead.
+    ``env.timeout`` / ``env.process`` / ``Stage`` / resource requests
+    instead.
     """
 
     id = "SIM008"
@@ -609,7 +609,7 @@ class EventQueueRule(Rule):
                     yield self.finding(
                         ctx, node,
                         "direct access to the engine's due-now lane; "
-                        "use env.call_soon or an Event instead")
+                        "use a Stage or an Event instead")
                 qual = _qualified(node, aliases)
                 if qual is not None and qual.startswith("heapq."):
                     yield self.finding(

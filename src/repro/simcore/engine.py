@@ -37,8 +37,9 @@ class Environment:
     Events are processed in ``(time, priority, sequence)`` order, kept
     in two queues.  The heap holds future events and priority-0
     interrupts.  Everything else that becomes due at ``now`` (a
-    succeed/fail, a process kick-start, a :meth:`call_soon`, a timeout
-    whose ``now + delay == now``) is appended to the due-now *lane*, a
+    succeed/fail, a process or :class:`~repro.simcore.events.Stage`
+    kick-start, a timeout whose ``now + delay == now``) is appended to
+    the due-now *lane*, a
     FIFO deque, without touching the heap.  The loop pops the heap head
     if it lies at ``now``, else the lane, else runs the deferred
     flushes, else advances the clock to the heap head.  That is exactly
@@ -94,18 +95,6 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """An event firing once any of ``events`` has fired."""
         return AnyOf(self, events)
-
-    def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` at ``now``, in the lane slot where a process
-        spawned at this point would run its first resume.
-
-        A chain of callbacks started here and continued from the
-        callbacks of the events it waits on pushes the same events, in
-        the same order, as a process doing the same work (see
-        :class:`~repro.simcore.events.Stage`).  An exception ``fn``
-        raises propagates out of :meth:`run`.
-        """
-        self._due.append(_Hop(lambda _hop: fn(*args)))
 
     # -- scheduling (internal API used by events) ---------------------------
 

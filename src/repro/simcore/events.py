@@ -362,8 +362,7 @@ class Stage(Event):
     """An event completed by a chain of callbacks instead of a process.
 
     ``Stage(env, fn, *args)`` runs ``fn(stage, *args)`` in the lane slot
-    where ``env.process`` would run a new generator's first resume (the
-    slot :meth:`~repro.simcore.engine.Environment.call_soon` takes).
+    where ``env.process`` would run a new generator's first resume.
     The body continues with :meth:`after` where the generator would
     ``yield`` an event and carry on, and ends with :meth:`succeed` where
     it would return, or :meth:`follow` where it would return right after

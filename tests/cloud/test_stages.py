@@ -69,15 +69,14 @@ def disk_ops(env, trace):
 def net_ops(env, trace):
     net = ClusterNetwork(env, trace=trace)
     a, b, c = (net.attach(n, 100 * MB) for n in "abc")
-    flows = [(a, b, 40 * MB, None, None), (c, b, 10 * MB, None, None),
-             (a, a, 5 * MB, None, None), (b, c, 0.0, None, None),
-             (a, b, 20 * MB, 30 * MB, None), (c, b, 10 * MB, None, 0.0),
-             (a, c, 1 * MB, None, 0.002)]
+    flows = [(a, b, 40 * MB, None), (c, b, 10 * MB, None),
+             (a, a, 5 * MB, None), (b, c, 0.0, None),
+             (a, b, 20 * MB, 30 * MB), (c, b, 10 * MB, None),
+             (a, c, 1 * MB, None)]
 
     def wave():
-        return [(lambda f=f: net.transfer(*f[:3], max_rate=f[3], latency=f[4]),
-                 lambda f=f: net.transfer_event(*f[:3], max_rate=f[3],
-                                                latency=f[4]))
+        return [(lambda f=f: net.transfer(*f[:3], max_rate=f[3]),
+                 lambda f=f: net.transfer_event(*f[:3], max_rate=f[3]))
                 for f in flows]
 
     return [wave(), wave(), wave()]

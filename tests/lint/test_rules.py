@@ -118,7 +118,7 @@ def test_sim008_flags_the_due_now_lane():
     source = ("def kick(env, stage, event):\n"
               "    env._due.append(event)\n"
               "    stage.env._due.append(event)\n"
-              "    env.call_soon(event.succeed)\n")
+              "    Stage(env, kick)\n")
     findings = lint_source(source, path="repro/cloud/disk.py",
                            select=["SIM008"])
     assert [f.line for f in findings] == [2, 3]

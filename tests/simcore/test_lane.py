@@ -5,7 +5,7 @@ heap of future events.  The reference below puts every event through
 one ``(time, priority, seq)`` heap instead, as the engine did before
 the lane, and runs the same randomized scenarios: zero-delay succeeds,
 timeouts landing exactly on ``now``, interrupts at ``now``, process
-starts, ``call_soon`` and ``defer`` flushes.  Both must log the same
+and stage starts, and ``defer`` flushes.  Both must log the same
 actions at the same times, under every way of driving the loop.
 """
 
@@ -14,7 +14,8 @@ from heapq import heappop, heappush
 
 import pytest
 
-from repro.simcore import Environment, Event, Interrupt, SimulationDeadlock
+from repro.simcore import (Environment, Event, Interrupt, SimulationDeadlock,
+                           Stage)
 
 INF = float("inf")
 
@@ -111,6 +112,9 @@ def build(env, seed, log, n_workers=5, n_steps=10):
 
     flushes = {tag: make_flush(tag) for tag in parked}
 
+    def log_stage(stage, entry):
+        log.append(entry)
+
     def child(i, k):
         yield env.timeout(rng.choice(delays))
         log.append((env.now, "child", i, k))
@@ -131,9 +135,8 @@ def build(env, seed, log, n_workers=5, n_steps=10):
                 if r < 0.2:
                     got = yield from wait(me, env.timeout(rng.choice(delays), k))
                 elif r < 0.3:
-                    ev = env.event()
-                    env.call_soon(ev.succeed, ("soon", i, k))
-                    got = yield from wait(me, ev)
+                    got = yield from wait(me, Stage(env, Event.succeed,
+                                                    ("soon", i, k)))
                 elif r < 0.4:
                     got = yield from wait(me, env.event().succeed(("now", i, k)))
                 elif r < 0.55:
@@ -156,7 +159,7 @@ def build(env, seed, log, n_workers=5, n_steps=10):
                     got = yield from wait(me, env.all_of(
                         [env.timeout(rng.choice(delays)) for _ in range(3)]))
                     got = sorted(got.values(), key=repr)
-                env.call_soon(log.append, (env.now, "soon-log", i, k))
+                Stage(env, log_stage, (env.now, "soon-log", i, k))
                 log.append((env.now, "step", i, k, got))
             except Interrupt as exc:
                 log.append((env.now, "interrupted", i, k, exc.cause))
@@ -248,7 +251,7 @@ def test_interrupt_at_now_preempts_the_lane():
     assert order == [("interrupted", 1.0), "due"]
 
 
-def test_call_soon_takes_a_process_start_slot():
+def test_stage_takes_a_process_start_slot():
     env = Environment()
     order = []
 
@@ -256,9 +259,15 @@ def test_call_soon_takes_a_process_start_slot():
         order.append(tag)
         yield env.timeout(0.0)
 
+    def body(stage, tag):
+        order.append(tag)
+        stage.succeed(tag)
+
     env.process(proc("first"))
-    env.call_soon(order.append, "soon")
+    stage = Stage(env, body, "stage")
     env.process(proc("second"))
     assert env.peek() == 0.0
+    assert not stage.triggered
     env.run()
-    assert order == ["first", "soon", "second"]
+    assert order == ["first", "stage", "second"]
+    assert stage.value == "stage"
