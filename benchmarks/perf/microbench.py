@@ -13,7 +13,7 @@ bundles them at three scales:
 ``sweep``
     Fleet-shaped load: hundreds of small cells through ``run_sweep``
     (serial and with a 4-worker pool) plus a dense-component flownet
-    churn that exercises the vectorized fill rounds.
+    churn whose every refill spans ~100 flows.
 
 Because absolute wall-clock depends on the host, every figure is also
 reported *normalized* by :func:`calibrate` — the time of a fixed pure
@@ -143,11 +143,11 @@ def bench_template_instantiate(n_calls: int = 1000,
 
 def bench_flownet_dense(n_waves: int = 40, flows_per_wave: int = 96,
                         n_links: int = 6, repeats: int = 3) -> float:
-    """Dense components: waves big enough to hit the vectorized fill.
+    """Dense components: waves of ~100 flows over 6 shared links.
 
-    With ~100 flows sharing 6 links every wave forms one large link
-    component, so each refill runs the masked-reduction rounds instead
-    of the scalar loop — the SoA kernel's headline case.
+    Every wave forms one large link component, so each refill runs
+    progressive filling over the whole population — the shape a PVFS
+    stripe fan-out or a saturated shared server produces.
     """
     def once() -> None:
         env = Environment()
@@ -224,8 +224,8 @@ def run_suite(scale: str = "smoke") -> Dict[str, Dict[str, float]]:
     benches: Dict[str, float] = {}
     if scale == "sweep":
         # Sweep tier: cascade-churn workloads at fleet scale — dense
-        # link components (vectorized fill) and hundreds of small
-        # cells through run_sweep, serial and with a worker pool.
+        # link components and hundreds of small cells through
+        # run_sweep, serial and with a worker pool.
         benches["flownet_dense"] = bench_flownet_dense()
         benches["sweep_240_serial"] = bench_sweep(n_cells=240, jobs=1)
         benches["sweep_240_jobs4"] = bench_sweep(n_cells=240, jobs=4)

@@ -744,8 +744,8 @@ _NUMPY_ARRAY_FACTORIES = frozenset({
 class Sim015NoSharedNumpyScratch(Rule):
     """SIM015: numpy scratch arrays must be owned per instance.
 
-    The struct-of-arrays kernels preallocate numpy buffers and mutate
-    them in place on every event.  A buffer allocated at module or
+    A kernel that keeps numpy buffers mutates them in place on every
+    event.  A buffer allocated at module or
     class scope is *aliased across every* ``Environment`` in the
     process: a serial sweep's second cell would inherit the first
     cell's residues, and any concurrent use corrupts both — silently,

@@ -150,6 +150,11 @@ class ServiceWorker:
         # supervisor can pair a stale crash with a fresh job, or start()
         # can wipe a slot the supervisor is mid-recovery on.
         self._slot_lock = new_lock("worker.slot")
+        # The supervisor publishes and starts a replacement thread under
+        # this lock, and stop() raises the stop flag under it: stop()
+        # never joins a published thread that has not started yet, and
+        # no replacement starts once stop() has begun.
+        self._restart_lock = new_lock("worker.restart")
         self._current_job: Optional[JobRow] = None
         self._crash: Optional[BaseException] = None
         self.n_restarts = 0
@@ -389,10 +394,13 @@ class ServiceWorker:
             self._restarts.inc(worker=self.name)
             if self.n_restarts > self.max_restarts:
                 return
-            replacement = threading.Thread(
-                target=self._run_guarded, name=self.name, daemon=True)
-            self._thread = replacement
-            replacement.start()
+            with self._restart_lock:
+                if self._stop.is_set():
+                    return
+                replacement = threading.Thread(
+                    target=self._run_guarded, name=self.name, daemon=True)
+                self._thread = replacement
+                replacement.start()
 
     def start(self) -> "ServiceWorker":
         """Start the worker + supervisor threads (join via :meth:`stop`)."""
@@ -420,7 +428,8 @@ class ServiceWorker:
         ``timeout``; False means a job was still running (its lease
         will expire and re-queue it).
         """
-        self._stop.set()
+        with self._restart_lock:
+            self._stop.set()
         drained = True
         if self._thread is not None:
             self._thread.join(timeout)

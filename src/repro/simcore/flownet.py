@@ -1,4 +1,4 @@
-"""Max-min fair flow network (struct-of-arrays kernel).
+"""Max-min fair flow network.
 
 Models a set of capacitated links (NIC transmit/receive sides, a shared
 service endpoint, a core switch) carrying concurrent byte flows.  Each
@@ -13,14 +13,11 @@ stripe traffic, and S3 GET/PUT payloads.
 
 Performance notes (see ``docs/performance.md``):
 
-* Flow state lives in preallocated, growable numpy arrays packed in
-  insertion order (remaining bytes, rate, completion epsilon, rate
-  cap), with a stable-id indirection so a ``_Flow`` handle survives
-  compaction when earlier flows complete.  Byte
-  advancement, completion detection, and the wake min-scan are single
-  vectorized passes over the packed arrays; below ``VEC_SCAN_MIN`` live
-  flows they fall back to scalar loops over ``.tolist()`` snapshots
-  with the *same* arithmetic, so both paths are bit-identical.
+* Flow state (remaining bytes, rate) lives in slots on each ``_Flow``
+  handle; the live flows are the network's insertion-ordered
+  ``_flows`` dict, and every pass walks them in that order, which fixes
+  the sequence of float operations.  Completion is a dict and link
+  removal — nothing is compacted or re-indexed.
 * Same-timestamp event cascades are batched: a transfer (or wake) marks
   the network dirty and defers one flush to the environment's
   end-of-timestamp hook (:meth:`Environment.defer`).  Progressive
@@ -34,14 +31,9 @@ Performance notes (see ``docs/performance.md``):
   (the utilization sampler's ``flow.rate``) trigger a lazy flush, so
   mid-cascade observations match a per-event fill exactly.
 * Reallocation stays *incremental*: only the connected component of
-  links reachable from the dirty flows is refilled.  Components at or
-  above ``VEC_FILL_MIN`` flows use vectorized rounds (masked
-  min-reductions for the bottleneck share, grouped saturation updates
-  replayed as per-link sequential clamped subtractions); smaller
-  components run the scalar fill.  Both orderings perform the same
-  float-operation sequence, so rates are bit-identical either way.
-* Completion wakeups come from a fused advance/min-scan over the live
-  flows, rescheduled once per dirtied timestamp.
+  links reachable from the dirty flows is refilled.
+* Completion wakeups come from a min-scan over the live flows,
+  rescheduled once per dirtied timestamp.
 * ``tests/golden_scenarios.json`` pins the telemetry hash-chains of the
   golden end-to-end scenarios and digests of randomized churn scripts;
   any change to the arithmetic above must leave them intact.
@@ -50,9 +42,7 @@ Performance notes (see ``docs/performance.md``):
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .events import Event, Timeout
 
@@ -60,16 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
 _INF = float("inf")
-
-# Reductions bound once: ``arr.any()``/``.all()``/``.min()`` compute the
-# same thing through the Python-level wrappers in numpy's ``_methods``
-# module, which cost more than the reduction on the fill's small arrays.
-_any = np.logical_or.reduce
-_all = np.logical_and.reduce
-_min = np.minimum.reduce
-
-#: Initial per-network array capacity (rows); doubled on demand.
-_INITIAL_ROWS = 64
 
 
 class Link:
@@ -88,8 +68,7 @@ class Link:
         # Scratch state for traversal/fill passes: ``_stamp`` marks
         # which pass last touched this link (see FlowNetwork._stamp_seq)
         # so passes need no per-call visited dicts; ``_residual`` and
-        # ``_n`` are only meaningful while a fill is running (the
-        # vectorized fill reuses ``_n`` as the link's local index).
+        # ``_n`` are only meaningful while a fill is running.
         self._stamp = 0
         self._residual = 0.0
         self._n = 0
@@ -104,53 +83,42 @@ class Link:
 
 
 class _Flow:
-    """Handle onto one row of the network's packed arrays.
+    """One flow: its description, its progress, and fill scratch.
 
-    The mutable per-flow state (remaining bytes, rate) lives in
-    :class:`FlowNetwork`'s arrays, reached through the stable id
-    ``fid``; the handle itself only carries the immutable description
-    plus scratch slots for traversal/fill passes.  Reading ``rate``
-    flushes a pending batched reallocation first, so samplers observing
-    mid-cascade see exactly what a per-event fill would produce.
+    ``_left`` and ``_rate`` keep their last live values once the flow
+    completes, so late readers (telemetry holding a handle) still see
+    them.  Reading ``rate`` flushes a pending batched reallocation
+    first, so samplers observing mid-cascade see exactly what a
+    per-event fill would produce.
     """
 
-    __slots__ = ("net", "fid", "links", "event", "max_rate", "eps",
-                 "_stamp", "_frozen", "_srate", "_dead_rate", "_dead_bytes")
+    __slots__ = ("net", "links", "event", "max_rate", "eps",
+                 "_left", "_rate", "_stamp", "_frozen")
 
     def __init__(self, net: "FlowNetwork", links: Sequence[Link],
-                 event: Event, max_rate: Optional[float], eps: float) -> None:
+                 event: Event, max_rate: Optional[float], nbytes: float,
+                 eps: float) -> None:
         self.net = net
-        self.fid = -1  # assigned on registration
         self.links = list(links)
         self.event = event
         self.max_rate = max_rate
         self.eps = eps
+        self._left = nbytes
+        self._rate = 0.0
         # Traversal stamp and fill scratch (see FlowNetwork._stamp_seq).
         self._stamp = 0
         self._frozen = False
-        self._srate = 0.0
-        # Final values stashed at completion so late readers (telemetry
-        # holding a handle) keep seeing the last live state.
-        self._dead_rate = 0.0
-        self._dead_bytes = 0.0
 
     @property
     def bytes_left(self) -> float:
-        net = self.net
-        pos = net._pos_of_id[self.fid]
-        if pos < 0:
-            return self._dead_bytes
-        return float(net._f_bytes[pos])
+        return self._left
 
     @property
     def rate(self) -> float:
         net = self.net
         if net._dirty:
             net._flush()
-        pos = net._pos_of_id[self.fid]
-        if pos < 0:
-            return self._dead_rate
-        return float(net._f_rate[pos])
+        return self._rate
 
 
 class FlowNetwork:
@@ -158,22 +126,13 @@ class FlowNetwork:
 
     ``FlowNetwork(env)`` binds the network to a simulation environment;
     flows start with :meth:`transfer`.  Completion wakeups are scheduled
-    from a fused advance/min-scan over the live flows, so wake times are
+    from a min-scan over the live flows, so wake times are
     bit-reproducible.
     """
 
-    #: Component size at which the vectorized fill replaces the scalar
-    #: one, and live-flow population at which vectorized advance /
-    #: completion / min-scan passes replace the scalar loops.  Both
-    #: paths are bit-identical; the thresholds are pure speed knobs
-    #: (and test hooks: differential tests pin them to 1 to force the
-    #: vector paths onto tiny populations).
-    VEC_FILL_MIN = 32
-    VEC_SCAN_MIN = 16
-
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        # Live-flow registry, insertion-ordered like the packed arrays.
+        # Live flows in insertion order: every pass walks them this way.
         self._flows: Dict[_Flow, None] = {}
         self._last_update = env.now
         # Wakeup invalidation by event identity (see FairShareChannel):
@@ -188,21 +147,6 @@ class FlowNetwork:
         self.total_bytes_moved = 0.0
         #: Total flows ever started.
         self.total_flows = 0
-        # -- struct-of-arrays state -----------------------------------
-        # Rows are packed in insertion order; ``_handles`` is the
-        # parallel Python list of _Flow handles.  ``_id_at_pos`` /
-        # ``_pos_of_id`` is the stable-id indirection that survives
-        # compaction (position -1 marks a completed flow).
-        rows = _INITIAL_ROWS
-        self._f_bytes = np.zeros(rows, dtype=np.float64)
-        self._f_rate = np.zeros(rows, dtype=np.float64)
-        self._f_eps = np.zeros(rows, dtype=np.float64)
-        self._f_cap = np.zeros(rows, dtype=np.float64)
-        self._id_at_pos = np.zeros(rows, dtype=np.int64)
-        self._pos_of_id = np.full(rows, -1, dtype=np.int64)
-        self._handles: List[_Flow] = []
-        self._n = 0
-        self._next_fid = 0
         # -- batched-cascade state ------------------------------------
         # ``_dirty`` marks a pending reallocation/reschedule;
         # ``_dirty_seeds`` are the flows whose arrival or completion
@@ -238,8 +182,10 @@ class FlowNetwork:
         """
         if nbytes < 0 or not math.isfinite(nbytes):
             raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
-        if max_rate is not None and max_rate <= 0:
-            raise ValueError(f"max_rate must be > 0, got {max_rate}")
+        if max_rate is not None:
+            if max_rate <= 0:
+                raise ValueError(f"max_rate must be > 0, got {max_rate}")
+            max_rate = float(max_rate)
         self.total_flows += 1
         done = Event(self.env)
         if nbytes == 0:
@@ -252,54 +198,17 @@ class FlowNetwork:
         # relative residue (~1e-12 of the size), which for GB-scale
         # flows dwarfs any absolute epsilon.
         eps = max(1e-9, nbytes * 1e-9)
-        flow = _Flow(self, links, done, max_rate, eps)
-        pos = self._append(flow, nbytes, eps, max_rate)
+        flow = _Flow(self, links, done, max_rate, nbytes, eps)
         self._flows[flow] = None
         for link in flow.links:
             link._flows[flow] = None
         if nbytes <= eps:
             # Sub-epsilon payload: completes within this same cascade;
             # final rates are as if it never joined.
-            self._complete([pos])
+            self._complete([flow])
         else:
             self._mark_dirty(flow)
         return done
-
-    # -- struct-of-arrays plumbing ------------------------------------------
-
-    def _append(self, flow: _Flow, nbytes: float, eps: float,
-                max_rate: Optional[float]) -> int:
-        n = self._n
-        if n == len(self._f_bytes):
-            self._grow_rows()
-        fid = self._next_fid
-        self._next_fid = fid + 1
-        if fid == len(self._pos_of_id):
-            old = self._pos_of_id
-            grown = np.full(len(old) * 2, -1, dtype=np.int64)
-            grown[:len(old)] = old
-            self._pos_of_id = grown
-        flow.fid = fid
-        self._f_bytes[n] = nbytes
-        self._f_rate[n] = 0.0
-        self._f_eps[n] = eps
-        self._f_cap[n] = _INF if max_rate is None else max_rate
-        self._id_at_pos[n] = fid
-        self._pos_of_id[fid] = n
-        self._handles.append(flow)
-        self._n = n + 1
-        return n
-
-    def _grow_rows(self) -> None:
-        rows = len(self._f_bytes) * 2
-        for name in ("_f_bytes", "_f_rate", "_f_eps", "_f_cap"):
-            old = getattr(self, name)
-            grown = np.zeros(rows, dtype=np.float64)
-            grown[:len(old)] = old
-            setattr(self, name, grown)
-        old = self._id_at_pos
-        self._id_at_pos = np.zeros(rows, dtype=np.int64)
-        self._id_at_pos[:len(old)] = old
 
     # -- batched-cascade plumbing -------------------------------------------
 
@@ -326,10 +235,9 @@ class FlowNetwork:
         self._dirty = False
         seeds = self._dirty_seeds
         self._dirty_seeds = []
-        if self._n and seeds:
-            positions, handles = self._component(seeds)
-            self._fill(positions, handles)
-        if self._n:
+        if self._flows:
+            if seeds:
+                self._fill(self._component(seeds))
             self._reschedule()
 
     # -- internals -----------------------------------------------------------
@@ -338,99 +246,43 @@ class FlowNetwork:
         """Advance all flows to ``now`` and complete the finished ones.
 
         The first touch of each timestamp does the real work; later
-        same-timestamp calls see ``elapsed == 0`` and return.  Byte
-        accounting uses a strictly sequential accumulation
-        (``np.add.accumulate``) in insertion order, so the vector path
-        reproduces the scalar float sums bit-for-bit.
+        same-timestamp calls see ``elapsed == 0`` and return.  Delivered
+        bytes are summed strictly sequentially in insertion order.
         """
         now = self.env.now
         elapsed = now - self._last_update
         self._last_update = now
-        if elapsed <= 0:
+        if elapsed <= 0 or not self._flows:
             return
-        n = self._n
-        if not n:
-            return
-        fb = self._f_bytes
-        fr = self._f_rate
-        if n >= self.VEC_SCAN_MIN:
-            lefts = fb[:n].copy()
-            moved = fr[:n] * elapsed
-            np.subtract(lefts, moved, out=fb[:n])
-            # Clamp the delivered-bytes counter to what each flow
+        total = self.total_bytes_moved
+        finished = None
+        for h in self._flows:
+            left = h._left
+            moved = h._rate * elapsed
+            new_left = left - moved
+            h._left = new_left
+            # Clamp the delivered-bytes counter to what the flow
             # actually had left (the final wake routinely lands a hair
-            # past the true finish), then accumulate sequentially.
-            acc = np.empty(n + 1, dtype=np.float64)
-            acc[0] = self.total_bytes_moved
-            np.minimum(moved, np.maximum(lefts, 0.0), out=acc[1:])
-            self.total_bytes_moved = float(np.add.accumulate(acc)[-1])
-            hits = np.nonzero(fb[:n] <= self._f_eps[:n])[0]
-            finished = hits.tolist() if hits.size else None
-        else:
-            rates = fr[:n].tolist()
-            lefts_l = fb[:n].tolist()
-            eps_l = self._f_eps[:n].tolist()
-            total = self.total_bytes_moved
-            finished = None
-            for i in range(n):
-                left = lefts_l[i]
-                moved = rates[i] * elapsed
-                new_left = left - moved
-                lefts_l[i] = new_left
-                if moved > left:
-                    moved = left if left > 0.0 else 0.0
-                total += moved
-                if new_left <= eps_l[i]:
-                    if finished is None:
-                        finished = [i]
-                    else:
-                        finished.append(i)
-            fb[:n] = lefts_l
-            self.total_bytes_moved = total
+            # past the true finish).
+            if moved > left:
+                moved = left if left > 0.0 else 0.0
+            total += moved
+            if new_left <= h.eps:
+                if finished is None:
+                    finished = [h]
+                else:
+                    finished.append(h)
+        self.total_bytes_moved = total
         if finished:
             self._complete(finished)
 
-    def _complete(self, positions: List[int]) -> None:
-        """Finish the flows at ``positions`` (ascending insertion order).
+    def _complete(self, done: List[_Flow]) -> None:
+        """Finish the flows ``done`` (in insertion order).
 
-        Pops them from the registry and their links, compacts the
-        packed arrays, fires their events in insertion order, and seeds
-        the deferred refill with the dead flows as traversal roots.
+        Pops them from the registry and their links, fires their events
+        in that order, and seeds the deferred refill with the dead flows
+        as traversal roots.
         """
-        handles = self._handles
-        pos_of = self._pos_of_id
-        fb = self._f_bytes
-        fr = self._f_rate
-        done = [handles[p] for p in positions]
-        for h, p in zip(done, positions):
-            h._dead_rate = float(fr[p])
-            h._dead_bytes = float(fb[p])
-            pos_of[h.fid] = -1
-        n = self._n
-        k = len(positions)
-        nn = n - k
-        arrays = (self._f_bytes, self._f_rate, self._f_eps, self._f_cap,
-                  self._id_at_pos)
-        if nn == 0:
-            del handles[:]
-        elif k == 1:
-            p = positions[0]
-            for arr in arrays:
-                arr[p:nn] = arr[p + 1:n]
-            del handles[p]
-            if p < nn:
-                pos_of[self._id_at_pos[p:nn]] = np.arange(p, nn)
-        else:
-            keep = np.ones(n, dtype=bool)
-            keep[positions] = False
-            for arr in arrays:
-                arr[:nn] = arr[:n][keep]
-            for p in reversed(positions):
-                del handles[p]
-            p0 = positions[0]
-            if p0 < nn:
-                pos_of[self._id_at_pos[p0:nn]] = np.arange(p0, nn)
-        self._n = nn
         flows = self._flows
         for h in done:
             del flows[h]
@@ -439,17 +291,16 @@ class FlowNetwork:
             h.event.succeed()
             self._mark_dirty(h)
 
-    def _component(self, seeds: Sequence[_Flow]
-                   ) -> Tuple[Optional[List[int]], List[_Flow]]:
+    def _component(self, seeds: Sequence[_Flow]) -> List[_Flow]:
         """Live flows connected to ``seeds`` through shared links.
 
-        Returns ``(positions, handles)`` in insertion (packed) order;
-        ``positions is None`` means the whole network was touched (the
-        common star-topology case), letting fills skip the gather.
-        Seeds may be just-finished flows (traversal roots only).
-        Visited links and flows are stamp-marked with a fresh pass id,
-        so the scan allocates only the pending stack and the traversal
-        order never leaks into the result.
+        Returns them in insertion order.  Seeds may be just-finished
+        flows (traversal roots only); they count towards the
+        whole-network shortcut, which returns every live flow once the
+        scan has marked as many flows as are live (the common
+        star-topology case).  Visited links and flows are stamp-marked
+        with a fresh pass id, so the scan allocates only the pending
+        stack and the traversal order never leaks into the result.
         """
         sid = self._stamp_seq = self._stamp_seq + 1
         pending: List[Link] = []
@@ -473,70 +324,46 @@ class FlowNetwork:
                             nxt._stamp = sid
                             pending.append(nxt)
         if nseen >= len(self._flows):
-            return None, self._handles
-        positions: List[int] = []
-        members: List[_Flow] = []
-        for i, h in enumerate(self._handles):
-            if h._stamp == sid:
-                positions.append(i)
-                members.append(h)
-        return positions, members
+            return list(self._flows)
+        return [h for h in self._flows if h._stamp == sid]
 
     # -- progressive filling --------------------------------------------------
 
-    def _fill(self, positions: Optional[List[int]],
-              handles: List[_Flow]) -> None:
-        """Progressive filling to the max-min fair allocation.
+    def _fill(self, flow_list: List[_Flow]) -> None:
+        """Progressive filling of ``flow_list`` to the max-min fair
+        allocation, in place on each handle's ``_rate``.
 
-        ``positions is None`` refills the whole network; otherwise the
-        fill is restricted to one connected component (rates of flows
-        outside it are left untouched).
+        ``flow_list`` is one or more whole connected components (rates
+        of flows outside it are left untouched).  Scratch state lives on
+        the links/handles, claimed by stamping with a fresh pass id.
+        Iteration order fixes every float operation: flow order is
+        insertion order, link order is first-encounter order over the
+        flows' links, and the freeze scan walks ``link._flows``.
         """
-        count = len(handles)
+        count = len(flow_list)
         if count == 0:
             return
         if count == 1:
             # Singleton fill (no contention): rate is the tightest of
             # the link capacities and the per-flow cap — the exact
             # value one loop iteration of the general fill produces.
-            h = handles[0]
-            pos = 0 if positions is None else positions[0]
+            h = flow_list[0]
             share = _INF
             for link in h.links:
                 if link.capacity < share:
                     share = link.capacity
             cap = h.max_rate
             if cap is not None and cap < share:
-                rate = cap
+                h._rate = cap
             elif share < _INF:
-                rate = share
+                h._rate = share
             else:
-                rate = cap or _INF
-            self._f_rate[pos] = rate
+                h._rate = cap or _INF
             return
-        if count < self.VEC_FILL_MIN:
-            rates = self._fill_scalar(handles)
-        else:
-            rates = self._fill_vector(handles, positions)
-        if positions is None:
-            self._f_rate[:count] = rates
-        else:
-            self._f_rate[np.asarray(positions, dtype=np.int64)] = rates
-
-    def _fill_scalar(self, flow_list: List[_Flow]) -> List[float]:
-        """In-place progressive filling over the flow handles.
-
-        Scratch state lives on the links/handles, claimed by stamping
-        with a fresh pass id; rates are collected into scratch slots and
-        scatter-written by the caller.  Iteration order fixes every
-        float operation: flow order is insertion order, link order is
-        first-encounter order over the flows' links, and the freeze scan
-        walks ``link._flows``.
-        """
         fid = self._stamp_seq = self._stamp_seq + 1
         links: List[Link] = []
         for h in flow_list:
-            h._srate = 0.0
+            h._rate = 0.0
             h._frozen = False
             for link in h.links:
                 if link._stamp != fid:
@@ -545,7 +372,7 @@ class FlowNetwork:
                     link._n = 0
                     links.append(link)
                 link._n += 1
-        remaining = len(flow_list)
+        remaining = count
 
         while remaining:
             # Fair share offered by each link still serving unfrozen flows.
@@ -566,7 +393,7 @@ class FlowNetwork:
                         capped_any = True
                         h._frozen = True
                         remaining -= 1
-                        h._srate = cap
+                        h._rate = cap
                         for link in h.links:
                             r = link._residual - cap
                             link._residual = r if r > 0.0 else 0.0
@@ -580,7 +407,7 @@ class FlowNetwork:
                     if not h._frozen:
                         h._frozen = True
                         remaining -= 1
-                        h._srate = h.max_rate or _INF
+                        h._rate = h.max_rate or _INF
                 break
             # Freeze every unfrozen flow on a bottleneck link.  Flows
             # outside this fill's component can never appear on a
@@ -595,7 +422,7 @@ class FlowNetwork:
                         if not h._frozen:
                             h._frozen = True
                             remaining -= 1
-                            h._srate = bottleneck_share
+                            h._rate = bottleneck_share
                             for lnk in h.links:
                                 r = lnk._residual - bottleneck_share
                                 lnk._residual = r if r > 0.0 else 0.0
@@ -606,144 +433,20 @@ class FlowNetwork:
                     if not h._frozen:
                         h._frozen = True
                         remaining -= 1
-                        h._srate = bottleneck_share
-        return [h._srate for h in flow_list]
-
-    def _fill_vector(self, handles: List[_Flow],
-                     positions: Optional[List[int]]) -> np.ndarray:
-        """Vectorized progressive filling over a large component.
-
-        Bit-identical to :meth:`_fill_scalar` by construction: the
-        bottleneck share is an order-independent masked min-reduction;
-        cap freezes replay the scalar per-flow updates in insertion
-        order; and saturation freezes subtract the share from each
-        touched link the same number of times, sequentially, that the
-        scalar flow-by-flow walk would (links whose unfrozen count
-        drops to zero are skipped — their residuals are never read
-        again within this fill).
-        """
-        nf = len(handles)
-        fid = self._stamp_seq = self._stamp_seq + 1
-        link_objs: List[Link] = []
-        flow_links: List[List[int]] = []
-        flat: List[int] = []
-        for h in handles:
-            h._frozen = False
-            idxs: List[int] = []
-            for link in h.links:
-                if link._stamp != fid:
-                    link._stamp = fid
-                    link._n = len(link_objs)  # local index (scratch reuse)
-                    link_objs.append(link)
-                idxs.append(link._n)
-            flow_links.append(idxs)
-            flat.extend(idxs)
-        nl = len(link_objs)
-        res = np.array([link.capacity for link in link_objs],
-                       dtype=np.float64)
-        cnt = np.bincount(np.asarray(flat, dtype=np.int64), minlength=nl)
-        if positions is None:
-            caps = self._f_cap[:nf].copy()
-        else:
-            caps = self._f_cap[np.asarray(positions, dtype=np.int64)]
-        rates = np.zeros(nf, dtype=np.float64)
-        frozen = np.zeros(nf, dtype=bool)
-        findex = {h: i for i, h in enumerate(handles)}
-        remaining = nf
-
-        while remaining:
-            active = cnt > 0
-            if _any(active):
-                bottleneck_share = float(_min(res[active] / cnt[active]))
-            else:
-                bottleneck_share = _INF
-            capm = (caps < bottleneck_share) & ~frozen
-            if _any(capm):
-                for i in np.nonzero(capm)[0].tolist():
-                    cap = float(caps[i])
-                    frozen[i] = True
-                    remaining -= 1
-                    rates[i] = cap
-                    for li in flow_links[i]:
-                        r = float(res[li]) - cap
-                        res[li] = r if r > 0.0 else 0.0
-                        cnt[li] -= 1
-                continue
-            if bottleneck_share == _INF:
-                idle = ~frozen
-                rates[idle] = np.where(np.isinf(caps[idle]), _INF,
-                                       caps[idle])
-                break
-            frozen_any = False
-            tolerance = bottleneck_share * (1 + 1e-12)
-            for li in range(nl):
-                c = int(cnt[li])
-                if c > 0 and float(res[li]) / c <= tolerance:
-                    group: List[int] = []
-                    for h in link_objs[li]._flows:
-                        i = findex[h]
-                        if not frozen[i]:
-                            group.append(i)
-                    if not group:  # pragma: no cover - duplicate-link path
-                        continue
-                    garr = np.asarray(group, dtype=np.int64)
-                    frozen[garr] = True
-                    rates[garr] = bottleneck_share
-                    remaining -= len(group)
-                    touched: List[int] = []
-                    for i in group:
-                        touched.extend(flow_links[i])
-                    kcounts = np.bincount(
-                        np.asarray(touched, dtype=np.int64), minlength=nl)
-                    cnt -= kcounts
-                    # Replay the sequential clamped subtractions: link j
-                    # loses the share k_j times, exactly as the scalar
-                    # flow walk subtracts it.  Links left with no
-                    # unfrozen flows are skipped — nothing reads their
-                    # residuals again within this fill.
-                    upd = np.nonzero((kcounts > 0) & (cnt > 0))[0]
-                    if upd.size:
-                        kk = kcounts[upd]
-                        while upd.size:
-                            res[upd] = np.maximum(
-                                res[upd] - bottleneck_share, 0.0)
-                            kk = kk - 1
-                            live = kk > 0
-                            if not _all(live):
-                                upd = upd[live]
-                                kk = kk[live]
-                    frozen_any = True
-            if not frozen_any:  # pragma: no cover - numerical safety valve
-                rates[~frozen] = bottleneck_share
-                break
-        return rates
+                        h._rate = bottleneck_share
 
     # -- completion scheduling ------------------------------------------------
 
     def _reschedule(self) -> None:
-        n = self._n
-        if n >= self.VEC_SCAN_MIN:
-            fr = self._f_rate[:n]
-            mask = fr > 0.0
-            if _all(mask):
-                rem = self._f_bytes[:n] / fr
-            elif _any(mask):
-                rem = self._f_bytes[:n][mask] / fr[mask]
-            else:  # pragma: no cover - all flows stalled
-                return
-            next_in = float(_min(rem))
-        else:
-            rates = self._f_rate[:n].tolist()
-            lefts = self._f_bytes[:n].tolist()
-            next_in = -1.0
-            for i in range(n):
-                rate = rates[i]
-                if rate > 0.0:
-                    remaining = lefts[i] / rate
-                    if next_in < 0.0 or remaining < next_in:
-                        next_in = remaining
-            if next_in < 0.0:  # pragma: no cover - all flows stalled
-                return
+        next_in = -1.0
+        for h in self._flows:
+            rate = h._rate
+            if rate > 0.0:
+                remaining = h._left / rate
+                if next_in < 0.0 or remaining < next_in:
+                    next_in = remaining
+        if next_in < 0.0:  # pragma: no cover - all flows stalled
+            return
         # Floor the delay so the clock always advances between wakeups
         # (a zero-elapsed wake would make no progress and spin).
         wake = Timeout(self.env, max(next_in, 1e-9))

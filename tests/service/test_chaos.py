@@ -294,6 +294,33 @@ def test_supervisor_restarts_worker_and_job_completes(tmp_path):
     store.close()
 
 
+def test_stop_while_supervisor_restarts_the_worker(tmp_path, monkeypatch):
+    """stop() racing the supervisor's restart of a killed worker thread
+    never joins a thread that is published but not started yet.  A
+    slowed ``Thread.start`` holds the restart window open long enough to
+    hit it every time."""
+    class SlowStart(threading.Thread):
+        def start(self):
+            time.sleep(0.5)
+            super().start()
+
+    store, queue, cache, worker = _stack(
+        tmp_path, max_attempts=5, chaos=KillEveryPickup(),
+        lease_seconds=60.0)
+    queue.submit(
+        "scenario",
+        {"config": ExperimentConfig("montage", "nfs", 2).to_dict(),
+         "scale": "small"})
+    monkeypatch.setattr(threading, "Thread", SlowStart)
+    worker.start()
+    try:
+        assert _wait_for(lambda: worker.n_restarts >= 1, timeout=30)
+    finally:
+        assert worker.stop()
+    monkeypatch.undo()
+    store.close()
+
+
 def test_poison_job_is_quarantined_with_crash_bundle(tmp_path):
     """A job that kills its worker every time fails cleanly at the
     attempt cap instead of crash-looping forever, and leaves a crash

@@ -1,21 +1,23 @@
-"""Differential tests for the struct-of-arrays flow-network kernel.
+"""Pinned differential tests for the flow-network kernel.
 
-The kernel in :mod:`repro.simcore.flownet` has a scalar and a
-vectorized code path for every pass (advance, completion scan, fill),
-chosen by population size, and claims both are *bit-identical*.  It
-also replaced an object-graph kernel with the same bit-identity claim;
-that kernel is retired, and the literals it agreed with are pinned in
-``tests/golden_scenarios.json`` (captured while scalar == vector ==
-object-graph held).  These tests check:
+:mod:`repro.simcore.flownet` is one scalar kernel.  Two kernels it
+replaced claimed bit-identity with it: an object-graph kernel, and a
+numpy struct-of-arrays kernel with a vectorized path for every pass
+(advance, completion scan, fill).  Both are retired; the digests they
+agreed with are pinned as literals — the small trials in
+``tests/golden_scenarios.json`` (captured while object-graph == vector
+== scalar held), the large-component trials below (captured while the
+struct-of-arrays kernel's default and forced-vector paths agreed).
+These tests check:
 
-* randomized topologies — steady-state rates and churn completion
-  logs must be equal (``==``, not approx) on the scalar and vector
-  paths (thresholds pinned low to force the vector paths on small
-  populations) and equal their pinned digests; steady-state rates must
+* randomized topologies — steady-state rates and churn completion logs
+  equal (``==``, not approx) their pinned digests; steady-state rates
   also match an independent brute-force water-filler approximately;
-* the golden end-to-end scenarios must reproduce their pinned
-  telemetry hash-chains with the vector paths forced, and serial vs
-  parallel sweeps must agree.
+* large components (64–512 flows over 8–32 links, rate caps, one to
+  three disjoint link groups), the sizes that only the vectorized fill
+  used to take — same checks against literal digests;
+* the golden end-to-end scenarios reproduce their pinned telemetry
+  hash-chains, and serial vs parallel sweeps agree.
 """
 
 import hashlib
@@ -37,13 +39,6 @@ from tests.test_observability_invariance import (
 
 #: Huge payload so no flow finishes while steady-state rates are read.
 _NEVER_FINISH = 1e18
-
-
-def _force_vector(monkeypatch):
-    """Pin the thresholds so even tiny populations take the vectorized
-    sync/fill paths."""
-    monkeypatch.setattr(FlowNetwork, "VEC_FILL_MIN", 1)
-    monkeypatch.setattr(FlowNetwork, "VEC_SCAN_MIN", 1)
 
 
 def _random_specs(rng):
@@ -76,25 +71,25 @@ def _digest(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("trial", range(15))
-def test_steady_rates_bit_identical_across_kernels(trial, monkeypatch,
-                                                   goldens):
-    """Scalar == vector == the pinned digest, and all ≈ brute force."""
-    rng = random.Random(52000 + trial)
-    caps, specs = _random_specs(rng)
-
-    scalar = _steady_rates(caps, specs)
-    _force_vector(monkeypatch)
-    vector = _steady_rates(caps, specs)
-
-    assert scalar == vector
-    goldens.check("steady_rates", str(trial), _digest(scalar))
-
+def _check_against_reference(caps, specs, rates):
+    """Kernel rates ≈ the brute-force water-filler's."""
     links = [Link(f"l{i}", c) for i, c in enumerate(caps)]
     ref_specs = [([links[i] for i in path], cap) for path, cap in specs]
     want = reference_fill(ref_specs)
-    for got, expected in zip(scalar, want):
+    assert len(rates) == len(want)
+    for got, expected in zip(rates, want):
         assert got == pytest.approx(expected, rel=1e-6, abs=1e-3)
+
+
+@pytest.mark.parametrize("trial", range(15))
+def test_steady_rates_bit_identical_across_kernels(trial, goldens):
+    """Steady rates equal the digest the retired kernels agreed on,
+    and ≈ brute force."""
+    rng = random.Random(52000 + trial)
+    caps, specs = _random_specs(rng)
+    rates = _steady_rates(caps, specs)
+    goldens.check("steady_rates", str(trial), _digest(rates))
+    _check_against_reference(caps, specs, rates)
 
 
 def _churn_script(rng):
@@ -142,65 +137,127 @@ def _run_churn(caps, script):
 
 
 @pytest.mark.parametrize("trial", range(10))
-def test_churn_completions_bit_identical_across_kernels(trial, monkeypatch,
-                                                        goldens):
+def test_churn_completions_bit_identical_across_kernels(trial, goldens):
     """Completion order, completion times, and byte totals match the
-    pinned digest exactly under churn, on both paths — including
-    zero-byte and sub-epsilon payloads arriving inside same-timestamp
-    waves."""
+    pinned digest exactly under churn — including zero-byte and
+    sub-epsilon payloads arriving inside same-timestamp waves."""
     caps, script = _churn_script(random.Random(61000 + trial))
-
-    scalar = _run_churn(caps, script)
-    _force_vector(monkeypatch)
-    vector = _run_churn(caps, script)
-
-    assert scalar == vector
-    goldens.check("churn_completions", str(trial), _digest(scalar))
+    goldens.check("churn_completions", str(trial),
+                  _digest(_run_churn(caps, script)))
 
 
-def test_zero_byte_transfer_is_immediate_in_both_kernels(monkeypatch):
+def test_zero_byte_transfer_is_immediate():
     """A zero-byte transfer succeeds synchronously, counts in
-    ``total_flows``, moves no bytes and never joins the network — same
-    contract on the scalar and the vector paths, with a live flow on
-    its link."""
-    for vector in (False, True):
-        if vector:
-            _force_vector(monkeypatch)
-        env = Environment()
-        net = FlowNetwork(env)
-        link = Link("l", 10.0)
-        busy = net.transfer((link,), 1e3)
-        env.run(until=1.0)
-        done = net.transfer((link,), 0.0)
-        assert done.triggered
-        assert net.total_flows == 2
-        assert len(net._flows) == len(link._flows) == 1
-        assert next(iter(net._flows)).rate == 10.0
-        env.run(busy)
-        assert env.now == 100.0
-        assert net.total_bytes_moved == 1e3
+    ``total_flows``, moves no bytes and never joins the network, even
+    with a live flow on its link."""
+    env = Environment()
+    net = FlowNetwork(env)
+    link = Link("l", 10.0)
+    busy = net.transfer((link,), 1e3)
+    env.run(until=1.0)
+    done = net.transfer((link,), 0.0)
+    assert done.triggered
+    assert net.total_flows == 2
+    assert len(net._flows) == len(link._flows) == 1
+    assert next(iter(net._flows)).rate == 10.0
+    env.run(busy)
+    assert env.now == 100.0
+    assert net.total_bytes_moved == 1e3
+
+
+# -- large components -----------------------------------------------------
+
+
+def _large_specs(rng):
+    """64–512 flows over 8–32 links, split into 1–3 disjoint link
+    groups so some trials hold several large components and refill
+    only the dirty one."""
+    n_links = rng.randint(8, 32)
+    caps = [rng.choice([1e6, 3.7e6, 2.5e7, 1e8, rng.uniform(1e5, 1e9)])
+            for _ in range(n_links)]
+    n_groups = rng.randint(1, 3)
+    groups = [list(range(g, n_links, n_groups)) for g in range(n_groups)]
+    specs = []
+    for _ in range(rng.randint(64, 512)):
+        group = rng.choice(groups)
+        k = rng.randint(1, min(3, len(group)))
+        path = tuple(sorted(rng.sample(group, k)))
+        cap = rng.choice([None, None, None, 2e5, 1.5e6,
+                          rng.uniform(1e4, 1e8)])
+        specs.append((path, cap))
+    return caps, specs
+
+
+def _large_churn_script(rng):
+    """The large specs as an arrival script, mostly in same-timestamp
+    waves, with the payload mix of :func:`_churn_script`."""
+    caps, specs = _large_specs(rng)
+    script = []
+    for path, cap in specs:
+        nbytes = rng.choice([
+            0.0, 1e-12, rng.uniform(1e5, 5e7), rng.uniform(1e5, 5e7),
+            rng.uniform(1e3, 1e5), rng.uniform(1e7, 2e8),
+        ])
+        delay = rng.choice([0.0, 0.0, 0.0, 0.0, rng.uniform(0.01, 2.0)])
+        script.append((path, nbytes, cap, delay))
+    return caps, script
+
+
+#: trial -> (links, flows, digest of the steady rates), seeds 73000+trial.
+#: Captured from the struct-of-arrays kernel, where the default and the
+#: forced-vector thresholds gave the same digests.
+LARGE_STEADY = {
+    0: (31, 385, "0affefe975d6b60af20ca9116c4ab49bc95efd6b2189c19803cea1fce121a718"),
+    1: (21, 199, "a819a887eb7e41f402ae3090a84034f6b400cf0bd384a56dc350234960554695"),
+    2: (15, 426, "4acff47f0cf4a35bbbc4c482cf8f9db29e6128a616a5c5fc27f0f825f2707650"),
+    3: (12, 416, "47b17b54df29ddca445cd1743d78d9ffa8409ece9ef698178a1aed53fccec450"),
+    4: (27, 354, "39dcab073d95da5fa9ac0881fbccadd411b526102366050c4c7d44701fe12984"),
+    5: (14, 354, "d8014438f56159b00d78291f552a5ba8be638314f1e53b5383b8f3fae57c8522"),
+    6: (13, 266, "608e8020d734f176f5105376fa6072adcbf4ba2a41a3e2cba19b925d8618015c"),
+    7: (16, 303, "eaffe0fa172277b78e7291622f1062650807884dc84a0cea287efab7866112d9"),
+}
+
+#: trial -> (links, flows, digest of the churn log), seeds 74000+trial;
+#: captured like LARGE_STEADY.
+LARGE_CHURN = {
+    0: (28, 419, "b1627a3a9bdb9ff3326ab9fd4f725064a531c1fcc6b47bb341ea77b1590453e3"),
+    1: (27, 291, "e808de3c28d57c5b7fc510802e3e243ec9e1a72fb390aa92910508dfa22812fb"),
+    2: (32, 216, "3376de56a55f6d7c5073b1c4fc904de7005cf5599b9708eae9cef60392c42a9d"),
+    3: (10, 476, "429c47cbbd5fc7b0bd66fb4883ac2de0878066b81de256ccef090b4c64e23ee0"),
+}
+
+
+@pytest.mark.parametrize("trial", sorted(LARGE_STEADY))
+def test_large_component_steady_rates_pinned(trial):
+    caps, specs = _large_specs(random.Random(73000 + trial))
+    rates = _steady_rates(caps, specs)
+    assert (len(caps), len(specs), _digest(rates)) == LARGE_STEADY[trial]
+    _check_against_reference(caps, specs, rates)
+
+
+@pytest.mark.parametrize("trial", sorted(LARGE_CHURN))
+def test_large_component_churn_pinned(trial):
+    caps, script = _large_churn_script(random.Random(74000 + trial))
+    digest = _digest(_run_churn(caps, script))
+    assert (len(caps), len(script), digest) == LARGE_CHURN[trial]
 
 
 # -- golden end-to-end scenarios ------------------------------------------
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=scenario_id)
-def test_golden_scenarios_bit_identical_to_legacy(scenario, monkeypatch,
-                                                  goldens):
-    """With the vector paths forced onto every population, telemetry
-    hash-chain, makespan, and cost still equal the pins the retired
-    object-graph kernel agreed with.  (The default-threshold run is
-    checked against the same pins by the observability test.)"""
+def test_golden_scenarios_bit_identical_to_legacy(scenario, goldens):
+    """Telemetry hash-chain, makespan, and cost of a plain run equal
+    the pins the retired kernels agreed with."""
     app, storage, nodes, seed = scenario
-    _force_vector(monkeypatch)
     (result,) = run_sweep([_config(app, storage, nodes, seed)],
                           workflow=small_workflow(app))
     goldens.check("scenarios", scenario_id(scenario), golden_record(result))
 
 
-def test_sweep_digest_serial_vs_parallel_under_soa_kernel():
-    """The SoA kernel's results are independent of worker scheduling:
-    the same sweep run serially and with two worker processes yields
+def test_sweep_digest_serial_vs_parallel():
+    """The kernel's results are independent of worker scheduling: the
+    same sweep run serially and with two worker processes yields
     identical hash-chains cell for cell."""
     cells = [
         ("synthetic", "nfs", 2, 0),
