@@ -238,8 +238,7 @@ class BlockDevice:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         if self.profile.op_latency > 0:
-            stage.after(self.env.timeout(self.profile.op_latency),
-                        self._submit_stage, nbytes, bw)
+            stage.sleep(self.profile.op_latency, self._submit_stage, nbytes, bw)
         else:
             self._submit_stage(stage, nbytes, bw)
 

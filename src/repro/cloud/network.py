@@ -121,8 +121,7 @@ class ClusterNetwork:
             return
         lat = self._count_transfer(src, dst, nbytes, None)
         if lat > 0:
-            stage.after(self.env.timeout(lat), self._flow_stage, src, dst,
-                        nbytes, max_rate)
+            stage.sleep(lat, self._flow_stage, src, dst, nbytes, max_rate)
         else:
             self._flow_stage(stage, src, dst, nbytes, max_rate)
 

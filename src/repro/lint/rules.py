@@ -563,9 +563,12 @@ class EventQueueRule(Rule):
     same-timestamp ordering fall back to object identity — i.e. memory
     addresses.  The due-now lane (``env._due``) is the other half of
     that order: an entry appended from outside the kernel skips the
-    checks that decide whether an event is due now.  Schedule through
-    ``env.timeout`` / ``env.process`` / ``Stage`` / resource requests
-    instead.
+    checks that decide whether an event is due now.  ``env._timer`` is
+    the kernel's own bare timer for its internal wakes and stage
+    steps: a callback with no event that anyone could wait on.
+    Outside the kernel, schedule through ``env.timeout`` /
+    ``env.process`` in a process, ``Stage.sleep`` in a stage, or
+    resource requests.
     """
 
     id = "SIM008"
@@ -577,6 +580,8 @@ class EventQueueRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         aliases = _import_aliases(ctx.tree)
+        # The flow network and the channels wake themselves with timers.
+        in_kernel = ctx.canonical.startswith("repro/simcore/")
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -600,6 +605,13 @@ class EventQueueRule(Rule):
                         "_queue_event is the engine's private "
                         "scheduling API; use env.timeout/env.process "
                         "or an Event instead")
+                elif node.attr == "_timer" and not in_kernel \
+                        and self._on_env(node.value):
+                    yield self.finding(
+                        ctx, node,
+                        "_timer is the kernel's private timer for its "
+                        "own wakes; use env.timeout in a process or "
+                        "Stage.sleep in a stage instead")
                 elif node.attr == "_queue" and self._on_env(node.value):
                     yield self.finding(
                         ctx, node,

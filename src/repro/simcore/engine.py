@@ -8,7 +8,7 @@ from heapq import heappush as _heappush
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple, Union
 
 from .errors import SimulationDeadlock
-from .events import AllOf, AnyOf, Event, Process, Timeout, _Hop
+from .events import AllOf, AnyOf, Event, Process, Timeout, _Timer
 
 #: Default priority for newly queued events.  Lower sorts earlier at the
 #: same timestamp; interrupts use priority 0 so they pre-empt same-time
@@ -38,25 +38,23 @@ class Environment:
     in two queues.  The heap holds future events and priority-0
     interrupts.  Everything else that becomes due at ``now`` (a
     succeed/fail, a process or :class:`~repro.simcore.events.Stage`
-    kick-start, a timeout whose ``now + delay == now``) is appended to
-    the due-now *lane*, a
-    FIFO deque, without touching the heap.  The loop pops the heap head
-    if it lies at ``now``, else the lane, else runs the deferred
-    flushes, else advances the clock to the heap head.  That is exactly
-    the single-heap order: a heap entry at ``(now, 1)`` was pushed
-    before the clock reached ``now``, so its sequence number is older
-    than any lane entry's, and lane entries are pushed in sequence
-    order.
+    kick-start, a timeout or timer whose ``now + delay == now``) is
+    appended to the due-now *lane*, a FIFO deque, without touching the
+    heap.  The loop pops the heap head if it lies at ``now``, else the
+    lane, else runs the deferred flushes, else advances the clock to
+    the heap head.  That is exactly the single-heap order: a heap entry
+    at ``(now, 1)`` was pushed before the clock reached ``now``, so its
+    sequence number is older than any lane entry's, and lane entries
+    are pushed in sequence order.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        # Heap entries: (time, priority, sequence, event)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        # Heap entries: (time, priority, sequence, event or timer)
+        self._queue: List[Tuple[float, int, int, Union[Event, _Timer]]] = []
         # The due-now lane (see the class docstring).
-        self._due: Deque[Union[Event, _Hop]] = deque()
+        self._due: Deque[Union[Event, _Timer]] = deque()
         self._seq = 0
-        self._active_process: Optional[Process] = None
         # End-of-timestamp flush hooks (see :meth:`defer`): callbacks
         # that run once the current timestamp's event cascade has fully
         # drained, before the clock moves to the next event time.
@@ -68,11 +66,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between resumptions)."""
-        return self._active_process
 
     # -- event factories ----------------------------------------------------
 
@@ -108,6 +101,29 @@ class Environment:
         else:
             self._due.append(event)
 
+    def _timer(self, delay: float,
+               callback: Callable[[_Timer], None]) -> _Timer:
+        """Call ``callback(timer)`` ``delay`` from now, in the slot that
+        ``env.timeout(delay)`` would take here, and return the timer.
+
+        The kernel's own wakes and stage steps need no event: nothing
+        else waits on them, and nothing reads a value from them.  The
+        returned entry is only good for an identity check (a wake that
+        a later reschedule superseded).
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        timer = _Timer()
+        timer.callbacks = (callback,)
+        when = self._now + delay
+        if when > self._now:
+            seq = self._seq + 1
+            self._seq = seq
+            _heappush(self._queue, (when, 1, seq, timer))
+        else:
+            self._due.append(timer)
+        return timer
+
     # -- end-of-timestamp flush hooks ---------------------------------------
 
     def defer(self, fn: Callable[[], None]) -> None:
@@ -122,7 +138,7 @@ class Environment:
         in *last*-registration order: re-deferring an already-pending
         callback moves it to the back, so flush order follows each
         kernel's final touch within the cascade — the relative order
-        in which the eager kernels allocated their wake timeouts, which
+        in which the eager kernels allocated their wakes, which
         keeps same-time event tie-breaks bit-identical.  A flush may
         defer further callbacks; they drain in the same pass.
         """

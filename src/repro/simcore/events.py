@@ -196,7 +196,7 @@ class Process(Event):
         #: process is scheduled to resume or has finished).
         self._waiting_on: Optional[Event] = None
         # Kick-start: resume the generator at the current simulation time.
-        env._due.append(_Hop(self._resume))
+        env._timer(0.0, self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -229,8 +229,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Resume the generator with the outcome of ``event``."""
-        env = self.env
-        env._active_process = self
         self._waiting_on = None
         # Localise the generator methods: this function runs once per
         # event in the simulation, and the repeated attribute loads are
@@ -245,16 +243,13 @@ class Process(Event):
                     event._defused = True
                     target = gen.throw(event._value)
             except StopIteration as exc:
-                env._active_process = None
                 self.succeed(exc.value)
                 return
             except BaseException as exc:
-                env._active_process = None
                 self.fail(exc)
                 return
 
             if not isinstance(target, Event):
-                env._active_process = None
                 err = RuntimeError(
                     f"process {self.name!r} yielded a non-event: {target!r}"
                 )
@@ -271,7 +266,6 @@ class Process(Event):
                 # Not yet processed: register and suspend.
                 target.callbacks.append(self._resume)
                 self._waiting_on = target
-                env._active_process = None
                 return
             # Already processed: loop and feed its value immediately.
             event = target
@@ -363,46 +357,107 @@ class Stage(Event):
 
     ``Stage(env, fn, *args)`` runs ``fn(stage, *args)`` in the lane slot
     where ``env.process`` would run a new generator's first resume.
-    The body continues with :meth:`after` where the generator would
-    ``yield`` an event and carry on, and ends with :meth:`succeed` where
-    it would return, or :meth:`follow` where it would return right after
-    yielding a last event.  An exception the body raises fails the
-    stage, as it would fail the process.
+    The body continues with :meth:`sleep` where the generator would
+    ``yield env.timeout(delay)`` and carry on, and ends with
+    :meth:`succeed` where it would return, :meth:`follow` where it
+    would return right after yielding a last event, or :meth:`join`
+    where that last event would be ``a & b``.  An exception the body
+    raises fails the stage, as it would fail the process.
 
     Written that way a stage pushes the same events, in the same order,
     as ``env.process`` of the equivalent generator, so swapping one for
     the other leaves every same-time tie-break, and so every simulated
     number, unchanged.  It saves the process object and a generator
-    resume per frame of the ``yield from`` chain at every step.
+    resume per frame of the ``yield from`` chain at every step, and it
+    allocates no event for its own steps: the stage is its own
+    kick-start lane entry, a sleep is a bare timer (see
+    :meth:`Environment._timer`), and a join is a countdown on the stage.
     """
 
-    __slots__ = ("_fn", "_args")
+    __slots__ = ("_fn", "_args", "_kick", "_left")
 
     def __init__(self, env: "Environment", fn: Callable[..., None],
                  *args: Any) -> None:
         # Inlined Event.__init__ (see Timeout): storage fans out one
         # stage per disk and network leg.
         self.env = env
-        self.callbacks = []
+        # Until the kick, the callback list is ``[Stage._start,
+        # *waiters]`` and the stage itself is queued in the lane, so the
+        # loop calls ``Stage._start(stage)``: no bound method to build.
+        self.callbacks = self._kick = [Stage._start]
         self._value = _PENDING
         self._ok = True
         self._defused = False
         self._fn = fn
         self._args = args
-        env._due.append(_Hop(self._resume))
+        env._due.append(self)
 
-    def after(self, event: Event, fn: Callable[..., None], *args: Any) -> None:
-        """Continue with ``fn(self, *args)`` once ``event`` is processed
-        (fail instead if ``event`` failed)."""
+    def sleep(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Continue with ``fn(self, *args)`` ``delay`` from now, in the
+        slot ``env.timeout(delay)`` would take."""
         self._fn = fn
         self._args = args
-        event.callbacks.append(self._resume)
+        self.env._timer(delay, self._resume)
 
     def follow(self, event: Event) -> None:
         """Succeed (with ``None``) or fail once ``event`` is processed."""
         self._fn = Event.succeed
         self._args = ()
         event.callbacks.append(self._resume)
+
+    def join(self, *events: Event) -> None:
+        """:meth:`follow` of ``AllOf(events)``, without the condition.
+
+        A countdown on the stage: the last of ``events`` to succeed
+        pushes one lane entry where the condition's ``succeed`` would
+        push it, and the first to fail pushes the failure where the
+        condition's ``fail`` would; the stage completes from there.
+        """
+        self._fn = Event.succeed
+        self._args = ()
+        self._left = len(events)
+        count = self._count
+        for ev in events:
+            if ev.callbacks is None:
+                count(ev)
+            else:
+                ev.callbacks.append(count)
+        if not events:
+            self.env._timer(0.0, self._resume)
+
+    def _count(self, event: Event) -> None:
+        if event._ok:
+            left = self._left - 1
+            self._left = left
+            if left == 0:
+                self.env._timer(0.0, self._resume)
+        else:
+            event._defused = True
+            if self._left > 0:
+                self._left = 0
+                failed = Event(self.env)
+                failed.callbacks.append(self._resume)
+                failed.fail(event._value)
+
+    def _start(self) -> None:
+        # The loop popped this stage as its own kick-start entry and is
+        # walking the detached list ``[Stage._start, *waiters]``: hand
+        # the waiters back and empty the list so they are not called now.
+        kick = self._kick
+        self._kick = None
+        self.callbacks = kick[1:]
+        del kick[1:]
+        try:
+            self._fn(self, *self._args)
+        except Exception as exc:
+            self.fail(exc)
+        if not self._ok:
+            # The body failed the stage, which queued it in the lane.
+            # The loop checks this entry, the stage itself, as soon as
+            # this callback returns; defuse it until its queued slot,
+            # where ``_rearm`` runs first, as the process would fail.
+            self._defused = True
+            self.callbacks.insert(0, _rearm)
 
     def _resume(self, event: Event) -> None:
         if event._ok:
@@ -415,14 +470,16 @@ class Stage(Event):
             self.fail(event._value)
 
 
-class _Hop:
-    """A due-now lane entry: the loop processes it by calling
-    ``callback(hop)``, and it reads as an event that succeeded with
-    ``None`` — the go-ahead of a first resume."""
+def _rearm(stage: Stage) -> None:
+    """First callback of a stage that failed in its own kick."""
+    stage._defused = False
+
+
+class _Timer:
+    """A bare schedule entry: the loop processes it by calling
+    ``callback(timer)``, and it reads as an event that succeeded with
+    ``None``.  See :meth:`Environment._timer`."""
 
     __slots__ = ("callbacks",)
     _ok = True
     _value = None
-
-    def __init__(self, callback: Callable[["_Hop"], None]) -> None:
-        self.callbacks = (callback,)

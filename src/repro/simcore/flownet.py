@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .events import Event, Timeout
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -135,9 +135,9 @@ class FlowNetwork:
         # Live flows in insertion order: every pass walks them this way.
         self._flows: Dict[_Flow, None] = {}
         self._last_update = env.now
-        # Wakeup invalidation by event identity (see FairShareChannel):
-        # only the timeout of the latest reschedule is honoured.
-        self._wake_event: object = None
+        # Wakeup invalidation by identity (see FairShareChannel): only
+        # the timer of the latest reschedule is honoured.
+        self._wake: object = None
         self._wake_cb = self._on_wake
         # Monotonic pass id handed to component scans and fills; a
         # link/flow whose ``_stamp`` differs from the current pass id
@@ -295,20 +295,22 @@ class FlowNetwork:
         """Live flows connected to ``seeds`` through shared links.
 
         Returns them in insertion order.  Seeds may be just-finished
-        flows (traversal roots only); they count towards the
-        whole-network shortcut, which returns every live flow once the
-        scan has marked as many flows as are live (the common
-        star-topology case).  Visited links and flows are stamp-marked
-        with a fresh pass id, so the scan allocates only the pending
-        stack and the traversal order never leaks into the result.
+        flows, which are traversal roots only.  The scan returns every
+        live flow at once when it has marked as many live flows as
+        there are (the common star-topology case).  Visited links and
+        flows are stamp-marked with a fresh pass id, so the scan
+        allocates only the pending stack and the traversal order never
+        leaks into the result.
         """
         sid = self._stamp_seq = self._stamp_seq + 1
+        live = self._flows
         pending: List[Link] = []
         nseen = 0
         for h in seeds:
             if h._stamp != sid:
                 h._stamp = sid
-                nseen += 1
+                if h in live:
+                    nseen += 1
                 for link in h.links:
                     if link._stamp != sid:
                         link._stamp = sid
@@ -323,9 +325,9 @@ class FlowNetwork:
                         if nxt._stamp != sid:
                             nxt._stamp = sid
                             pending.append(nxt)
-        if nseen >= len(self._flows):
-            return list(self._flows)
-        return [h for h in self._flows if h._stamp == sid]
+        if nseen >= len(live):
+            return list(live)
+        return [h for h in live if h._stamp == sid]
 
     # -- progressive filling --------------------------------------------------
 
@@ -449,12 +451,10 @@ class FlowNetwork:
             return
         # Floor the delay so the clock always advances between wakeups
         # (a zero-elapsed wake would make no progress and spin).
-        wake = Timeout(self.env, max(next_in, 1e-9))
-        self._wake_event = wake
-        wake.callbacks.append(self._wake_cb)
+        self._wake = self.env._timer(max(next_in, 1e-9), self._wake_cb)
 
-    def _on_wake(self, event: object) -> None:
-        if event is not self._wake_event:
+    def _on_wake(self, timer: object) -> None:
+        if timer is not self._wake:
             return  # superseded by a newer reschedule
         self._sync()
         # Always refresh the wake on every valid wake; completions

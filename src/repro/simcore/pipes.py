@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict
 
-from .events import Event, Timeout
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -83,12 +83,10 @@ class FairShareChannel:
         self._jobs: Dict[int, _ChannelJob] = {}
         self._next_id = 0
         self._last_update = env.now
-        # Wakeup invalidation by event identity: `_wake_event` is the
-        # timeout of the *latest* reschedule, and the single persistent
-        # callback ignores any older timeout that still fires.  This
-        # replaces a per-reschedule token lambda (one closure allocation
-        # per population change) with a plain identity check.
-        self._wake_event: object = None
+        # Wakeup invalidation by identity: `_wake` is the timer of the
+        # *latest* reschedule, and the single persistent callback
+        # ignores any older timer that still fires.
+        self._wake: object = None
         self._wake_cb = self._on_wake
         # Batched same-timestamp cascades (mirrors FlowNetwork): a
         # population change marks the channel dirty and defers one
@@ -147,14 +145,6 @@ class FairShareChannel:
             return self.total_work_done
         elapsed = max(0.0, self.env.now - self._last_update)
         return self.total_work_done + elapsed * self._service_rate(n)
-
-    def estimated_finish(self, work: float) -> float:
-        """Crude finish-time estimate if ``work`` were submitted now.
-
-        Assumes the current population stays constant — used only by
-        advisory schedulers, never by the channel itself.
-        """
-        return self.env.now + work * (len(self._jobs) + 1)
 
     # -- internals -----------------------------------------------------------
 
@@ -229,12 +219,10 @@ class FairShareChannel:
         n = len(jobs)
         # Floor the delay so the clock always advances between wakeups.
         delay = max(min_left * n / self._service_rate(n), 1e-9)
-        wake = Timeout(self.env, delay)
-        self._wake_event = wake
-        wake.callbacks.append(self._wake_cb)
+        self._wake = self.env._timer(delay, self._wake_cb)
 
-    def _on_wake(self, event: object) -> None:
-        if event is not self._wake_event:
+    def _on_wake(self, timer: object) -> None:
+        if timer is not self._wake:
             return  # population changed since this wakeup was scheduled
         self._advance()
         self._mark_dirty()

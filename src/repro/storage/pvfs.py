@@ -129,11 +129,11 @@ class PVFSStorage(StorageSystem):
                      client: "VMInstance", nbytes: float) -> None:
         disk_ev = server.disk.read_event(nbytes)
         net_ev = server.network.transfer_event(server.nic, client.nic, nbytes)
-        stage.follow(disk_ev & net_ev)
+        stage.join(disk_ev, net_ev)
 
     def _remote_write(self, stage: Stage, server: "VMInstance",
                       client: "VMInstance", meta: FileMetadata,
                       nbytes: float) -> None:
         net_ev = client.network.transfer_event(client.nic, server.nic, nbytes)
         disk_ev = server.disk.write_event((self.name, meta.name), nbytes)
-        stage.follow(net_ev & disk_ev)
+        stage.join(net_ev, disk_ev)

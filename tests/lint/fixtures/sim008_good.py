@@ -3,3 +3,7 @@
 
 def schedule(env, duration):
     return env.timeout(duration)
+
+
+def step(stage, duration, then):
+    stage.sleep(duration, then)

@@ -21,7 +21,7 @@ CASES = {
     "SIM005": ("sim005", "repro/workflow/slots.py", 1),
     "SIM006": ("sim006", "repro/telemetry/collect.py", 2),
     "SIM007": ("sim007", "repro/workflow/driver.py", 2),
-    "SIM008": ("sim008", "repro/workflow/scheduler.py", 5),
+    "SIM008": ("sim008", "repro/workflow/scheduler.py", 6),
     "SIM009": ("sim009", "repro/simcore/kernel.py", 7),
     "SIM010": ("sim010", "repro/service/store.py", 3),
     "SIM011": ("sim011", "repro/service/worker.py", 3),
@@ -124,6 +124,17 @@ def test_sim008_flags_the_due_now_lane():
     assert [f.line for f in findings] == [2, 3]
     assert all("due-now lane" in f.message for f in findings)
     assert lint_source(source, path="repro/simcore/events.py",
+                       select=["SIM008"]) == []
+
+
+def test_sim008_keeps_the_timer_inside_the_kernel():
+    source = ("def wake(self):\n"
+              "    self.env._timer(1.0, self._on_wake)\n")
+    findings = lint_source(source, path="repro/cloud/disk.py",
+                           select=["SIM008"])
+    assert [f.line for f in findings] == [2]
+    assert "Stage.sleep" in findings[0].message
+    assert lint_source(source, path="repro/simcore/pipes.py",
                        select=["SIM008"]) == []
 
 

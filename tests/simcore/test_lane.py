@@ -7,6 +7,15 @@ the lane, and runs the same randomized scenarios: zero-delay succeeds,
 timeouts landing exactly on ``now``, interrupts at ``now``, process
 and stage starts, and ``defer`` flushes.  Both must log the same
 actions at the same times, under every way of driving the loop.
+
+The scenarios also cover what the kernel schedules without an event of
+its own: bare timers (``env._timer``), stages as their own kick-start
+entries, stage sleeps, countdown joins (``Stage.join``, including a
+failing sub-event and already-processed ones) and stage bodies that
+raise in their kick.  The reference runs each of them in the form it
+stands for: a timer is a ``Timeout`` with a callback, and a stage is
+the process whose generator yields ``env.timeout`` where the stage
+sleeps and ``env.all_of`` where it joins.
 """
 
 import random
@@ -90,6 +99,55 @@ class HeapOnlyEnvironment(Environment):
         return None
 
 
+class _ProcessBody:
+    """What a stage body is handed on the reference: the calls of a
+    :class:`Stage`, turned into what its generator would yield."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def succeed(self, value=None):
+        self.value = value
+
+    def sleep(self, delay, fn, *args):
+        self.wait, self.then = self.env.timeout(delay), (fn, args)
+
+    def join(self, *events):
+        self.wait, self.then = self.env.all_of(events), None
+
+
+def _as_generator(env, fn, args):
+    body = _ProcessBody(env)
+    then = (fn, args)
+    while then is not None:
+        body.value = body.wait = body.then = None
+        fn, args = then
+        fn(body, *args)
+        if body.wait is None:
+            return body.value
+        yield body.wait
+        then = body.then
+
+
+def start_stage(env, fn, *args):
+    """``Stage(env, fn, *args)``; on the reference, its process."""
+    if isinstance(env, HeapOnlyEnvironment):
+        return env.process(_as_generator(env, fn, args))
+    return Stage(env, fn, *args)
+
+
+def start_timer(env, delay, callback):
+    """``env._timer``; on the reference, a timeout with a callback."""
+    if isinstance(env, HeapOnlyEnvironment):
+        env.timeout(delay).callbacks.append(callback)
+    else:
+        env._timer(delay, callback)
+
+
+def _succeed(stage, value):
+    stage.succeed(value)
+
+
 #: Base time 2**53: there ``now + 1.0 == now``, so a 1-second timeout
 #: lands exactly on ``now`` while 2- and 4-second ones do not.
 BIG = 2.0 ** 53
@@ -114,6 +172,44 @@ def build(env, seed, log, n_workers=5, n_steps=10):
 
     def log_stage(stage, entry):
         log.append(entry)
+        stage.succeed()
+
+    processed = []
+
+    def raising(stage, i, k):
+        # Push something first, so a failure queued one slot late would
+        # land after this entry's own follow-up and change the log.
+        env.event().succeed().callbacks.append(
+            lambda ev: log.append((env.now, "pre-raise", i, k)))
+        raise ValueError(f"{i}-{k}")
+
+    def sleeping(stage, i, k):
+        stage.sleep(rng.choice(delays), joining, i, k)
+
+    def joining(stage, i, k):
+        log.append((env.now, "slept", i, k))
+        if rng.random() < 0.1:
+            stage.join()
+            return
+        parts = [env.timeout(rng.choice(delays)), start_stage(env, _succeed, k),
+                 env.event().succeed(i)]
+        if processed and rng.random() < 0.5:
+            parts.append(rng.choice(processed))
+        if rng.random() < 0.3:
+            parts.append(start_stage(env, raising, i, k))
+        rng.shuffle(parts)
+        stage.join(*parts)
+
+    def catch(event, i, k):
+        try:
+            return (yield event)
+        except ValueError as exc:
+            log.append((env.now, "caught", i, k, str(exc)))
+            return "caught"
+
+    def ring(timer, ev, i, k):
+        log.append((env.now, "timer", i, k))
+        ev.succeed(("timer", i, k))
 
     def child(i, k):
         yield env.timeout(rng.choice(delays))
@@ -131,12 +227,24 @@ def build(env, seed, log, n_workers=5, n_steps=10):
         me = workers[i]
         for k in range(n_steps):
             try:
-                r = rng.random()
-                if r < 0.2:
+                r = rng.random() * 1.3
+                if r >= 1.2:
+                    ev = env.event()
+                    start_timer(env, rng.choice(delays),
+                                lambda timer, ev=ev, k=k: ring(timer, ev, i, k))
+                    got = yield from wait(me, ev)
+                elif r >= 1.1:
+                    body = sleeping if rng.random() < 0.7 else raising
+                    got = yield from wait(me, env.process(
+                        catch(start_stage(env, body, i, k), i, k)))
+                elif r >= 1.0:
+                    got = yield from wait(me, env.process(catch(
+                        start_stage(env, joining, i, k), i, k)))
+                elif r < 0.2:
                     got = yield from wait(me, env.timeout(rng.choice(delays), k))
                 elif r < 0.3:
-                    got = yield from wait(me, Stage(env, Event.succeed,
-                                                    ("soon", i, k)))
+                    got = yield from wait(me, start_stage(env, _succeed,
+                                                          ("soon", i, k)))
                 elif r < 0.4:
                     got = yield from wait(me, env.event().succeed(("now", i, k)))
                 elif r < 0.55:
@@ -159,8 +267,9 @@ def build(env, seed, log, n_workers=5, n_steps=10):
                     got = yield from wait(me, env.all_of(
                         [env.timeout(rng.choice(delays)) for _ in range(3)]))
                     got = sorted(got.values(), key=repr)
-                Stage(env, log_stage, (env.now, "soon-log", i, k))
+                start_stage(env, log_stage, (env.now, "soon-log", i, k))
                 log.append((env.now, "step", i, k, got))
+                processed.append(env.event().succeed(k))
             except Interrupt as exc:
                 log.append((env.now, "interrupted", i, k, exc.cause))
         return i
@@ -218,7 +327,8 @@ def test_scenarios_cover_every_lane_path():
         log = []
         drive("exhaust", env, build(env, seed, log), log)
         kinds.update(entry[1] for entry in log)
-    assert {"step", "soon-log", "child", "interrupted", "flush"} <= kinds
+    assert {"step", "soon-log", "child", "interrupted", "flush", "timer",
+            "slept", "caught", "pre-raise"} <= kinds
 
 
 def test_timeout_absorbed_by_the_clock_is_due_now():
@@ -271,3 +381,45 @@ def test_stage_takes_a_process_start_slot():
     env.run()
     assert order == ["first", "stage", "second"]
     assert stage.value == "stage"
+
+
+@pytest.mark.parametrize("observed", [True, False], ids=["observed", "unobserved"])
+def test_stage_failing_in_its_kick_fails_in_the_process_slot(observed):
+    """A body that raises fails its stage in the lane slot where the
+    process it stands for fails: after what the body pushed, before
+    what that pushed in turn.  Unobserved, the failure stops the run
+    at that slot."""
+    logs = []
+    for make in (Stage, lambda env, fn: env.process(_as_generator(env, fn, ()))):
+        env = Environment()
+        order = []
+
+        def body(stage):
+            order.append("body")
+            env.event().succeed().callbacks.append(lambda ev: (
+                order.append("pushed"),
+                env.event().succeed().callbacks.append(
+                    lambda ev: order.append("pushed-next"))))
+            raise ValueError("boom")
+
+        def waiter(event):
+            try:
+                yield event
+            except ValueError as exc:
+                order.append(("caught", str(exc)))
+
+        failing = make(env, body)
+        if observed:
+            env.process(waiter(failing))
+            env.run()
+        else:
+            with pytest.raises(ValueError, match="boom"):
+                env.run()
+        assert failing.triggered and not failing.ok
+        logs.append(order)
+    stage_order, process_order = logs
+    assert stage_order == process_order
+    if observed:
+        assert stage_order == ["body", "pushed", ("caught", "boom"), "pushed-next"]
+    else:
+        assert stage_order == ["body", "pushed"]
