@@ -6,40 +6,51 @@ paper scale and counts every event object the simulation kernel
 allocates, by class.  The counts are exact and repeat from run to run,
 so the script fails on any difference from :data:`PINNED`: a change
 that allocates more (or fewer) objects per cell must update the
-literals here, and the diff shows by how much.
+literals here; every run prints each cell's counts, so the new values
+and the diff are in its output.
 
 The counters wrap the constructors from outside the kernel; nothing
 they record reaches the telemetry hash chain.
 
-    python scripts/event_counts.py             # gate both cells
-    python scripts/event_counts.py --print     # show counts, no gate
+    python scripts/event_counts.py     # print and gate both cells
 """
 
-import argparse
 import gc
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict, Iterator, List
 
 sys.path.insert(0, "src")  # allow running from a plain checkout
 
 from repro.experiments import ExperimentConfig, run_experiment  # noqa: E402
-from repro.simcore import events  # noqa: E402
+# resources defines Event subclasses of its own (Request and its kin).
+from repro.simcore import events, resources  # noqa: E402,F401
 
-#: Every class whose instances the run loop processes.
-COUNTED = (events.Event, events.Timeout, events.Process, events.Stage,
-           events.AllOf, events.AnyOf, events._Timer)
+
+def counted_classes() -> List[type]:
+    """Every class whose instances the run loop processes: ``Event``
+    and all its subclasses, found when the counter starts, plus the
+    kernel's bare ``_Timer`` entry."""
+    found, todo = [], [events.Event]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return found + [events._Timer]
+
 
 #: cell -> event objects allocated, by class name.
 PINNED: Dict[str, Dict[str, int]] = {
     "montage/nfs@4": {
         "Event": 285646, "Timeout": 108126, "Process": 33,
-        "Stage": 139789, "AllOf": 56521, "AnyOf": 0, "_Timer": 255065,
+        "Stage": 139789, "Condition": 0, "AllOf": 56521, "AnyOf": 0,
+        "Request": 0, "PriorityRequest": 0, "_Timer": 255065,
     },
     "broadband/pvfs@8": {
         "Event": 172865, "Timeout": 12144, "Process": 64,
-        "Stage": 233376, "AllOf": 10608, "AnyOf": 0, "_Timer": 342359,
+        "Stage": 233376, "Condition": 0, "AllOf": 10608, "AnyOf": 0,
+        "Request": 0, "PriorityRequest": 0, "_Timer": 342359,
     },
 }
 
@@ -51,17 +62,22 @@ CELLS = {
 
 @contextmanager
 def count_event_objects() -> Iterator[Counter]:
-    """Count the instances of :data:`COUNTED` built inside the block.
+    """Count the instances of :func:`counted_classes` built inside
+    the block, by class name.
 
     Each class's ``__init__`` is wrapped for the block; an instance is
     counted once, under its own class, however its constructors chain.
+    Every class of the package starts at 0, so a new one shows up in the
+    counts (and fails a pin) even before anything builds it.
     Garbage from earlier runs is collected first: a suspended process
     generator left over from a run that ended runs its ``finally``
     blocks when it is collected, and may build events then.
     """
     gc.collect()
-    counts: Counter = Counter({cls.__name__: 0 for cls in COUNTED})
-    saved = [(cls, cls.__dict__.get("__init__")) for cls in COUNTED]
+    counted = counted_classes()
+    counts: Counter = Counter({cls.__name__: 0 for cls in counted
+                               if cls.__module__.startswith("repro.")})
+    saved = [(cls, cls.__dict__.get("__init__")) for cls in counted]
 
     def wrap(cls):
         init = cls.__init__
@@ -73,7 +89,7 @@ def count_event_objects() -> Iterator[Counter]:
             init(self, *args, **kwargs)
         return counting_init
 
-    for cls in COUNTED:
+    for cls in counted:
         cls.__init__ = wrap(cls)
     try:
         yield counts
@@ -93,21 +109,18 @@ def count_cell(label: str) -> Dict[str, int]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--print", action="store_true",
-                        help="print the counts without gating them")
-    args = parser.parse_args()
     failures = 0
     for label in CELLS:
         counts = count_cell(label)
         total = sum(counts.values())
         print(f"{label}: {total:,} event objects  {counts}")
-        if args.print or counts == PINNED[label]:
+        if counts == PINNED[label]:
             continue
         failures += 1
-        for name, want in PINNED[label].items():
-            if counts[name] != want:
-                print(f"  FAIL {name}: {counts[name]:,} (pinned {want:,})")
+        for name in sorted(set(counts) | set(PINNED[label])):
+            got, want = counts.get(name, 0), PINNED[label].get(name)
+            if got != want:
+                print(f"  FAIL {name}: {got:,} (pinned {want})")
     return 1 if failures else 0
 
 

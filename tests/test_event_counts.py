@@ -73,10 +73,12 @@ PINNED_FLOWS_REFILLED = {
 PINNED_OBJECTS = {
     ("epigenome", "pvfs", 2, 42): {
         "Event": 333, "Timeout": 225, "Process": 17, "Stage": 224,
-        "AllOf": 56, "AnyOf": 0, "_Timer": 453},
+        "Condition": 0, "AllOf": 56, "AnyOf": 0, "Request": 0,
+        "PriorityRequest": 0, "_Timer": 453},
     ("montage", "nfs", 2, 42): {
         "Event": 790, "Timeout": 397, "Process": 18, "Stage": 254,
-        "AllOf": 123, "AnyOf": 0, "_Timer": 585},
+        "Condition": 0, "AllOf": 123, "AnyOf": 0, "Request": 0,
+        "PriorityRequest": 0, "_Timer": 585},
 }
 
 
@@ -109,7 +111,8 @@ def test_engine_work_is_pinned(monkeypatch, scenario):
 
 
 def _flownet_work(monkeypatch, app, storage, nodes, seed):
-    counts = {"transfers": 0, "refills": 0, "wakes": 0}
+    """(transfers, flushes that refill, wakes allocated, flows refilled)."""
+    counts = {"transfers": 0, "refills": 0, "wakes": 0, "refilled": 0}
     transfer = FlowNetwork.transfer
     fill, reschedule = FlowNetwork._fill, FlowNetwork._reschedule
 
@@ -117,9 +120,10 @@ def _flownet_work(monkeypatch, app, storage, nodes, seed):
         counts["transfers"] += 1
         return transfer(self, *args, **kwargs)
 
-    def counting_fill(self, *args):
+    def counting_fill(self, flow_list):
         counts["refills"] += 1
-        fill(self, *args)
+        counts["refilled"] += len(flow_list)
+        fill(self, flow_list)
 
     def counting_reschedule(self):
         before = self._wake
@@ -130,26 +134,20 @@ def _flownet_work(monkeypatch, app, storage, nodes, seed):
     monkeypatch.setattr(FlowNetwork, "_fill", counting_fill)
     monkeypatch.setattr(FlowNetwork, "_reschedule", counting_reschedule)
     _run(app, storage, nodes, seed)
-    return counts["transfers"], counts["refills"], counts["wakes"]
+    return (counts["transfers"], counts["refills"], counts["wakes"],
+            counts["refilled"])
 
 
 @pytest.mark.parametrize("scenario", sorted(PINNED_FLOWNET), ids=scenario_id)
 def test_flownet_work_is_pinned(monkeypatch, scenario):
-    assert _flownet_work(monkeypatch, *scenario) == PINNED_FLOWNET[scenario]
+    work = _flownet_work(monkeypatch, *scenario)
+    assert work[:3] == PINNED_FLOWNET[scenario]
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=scenario_id)
 def test_flows_refilled_is_pinned(monkeypatch, scenario):
-    refilled = [0]
-    fill = FlowNetwork._fill
-
-    def counting_fill(self, flow_list):
-        refilled[0] += len(flow_list)
-        fill(self, flow_list)
-
-    monkeypatch.setattr(FlowNetwork, "_fill", counting_fill)
-    _run(*scenario)
-    assert refilled[0] == PINNED_FLOWS_REFILLED[scenario]
+    work = _flownet_work(monkeypatch, *scenario)
+    assert work[3] == PINNED_FLOWS_REFILLED[scenario]
 
 
 @pytest.mark.parametrize("scenario", sorted(PINNED_OBJECTS), ids=scenario_id)
